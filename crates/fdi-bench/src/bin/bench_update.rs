@@ -1,7 +1,7 @@
-//! Update-maintenance benchmark: incremental [`LhsIndex`] deltas
+//! Update-maintenance benchmark: incremental [`ChaseIndex`] deltas
 //! (`Database::insert/delete/modify` re-bucketing only the touched
 //! rows, with deletes tombstoning stable `RowId` slots — no survivor
-//! id-shift anywhere) vs a full `LhsIndex::build` after every update —
+//! id-shift anywhere) vs a full `ChaseIndex::build` after every update —
 //! the maintenance strategy the delta operations replaced — plus a
 //! **journaled** lane: the incremental pipeline behind a synced
 //! in-memory write-ahead journal, isolating the durability layer's
@@ -20,17 +20,24 @@
 //! (delete+reinsert cycles) — the workloads that used to sit on the
 //! O(n·|F|) positional id-shift floor.
 //!
+//! A second lane (`"policy": "default"`) times the insert, modify and
+//! mixed streams under `Policy::default()` — weak enforcement with
+//! NS-rule propagation, where each update runs the delta chase — and
+//! every point records `db_clone_ns`, the median cost of one
+//! `Database::clone` (what an epoch publication pays).
+//!
 //! Usage: `cargo run --release -p fdi-bench --bin bench_update
 //! [--quick]` — `--quick` drops the n = 100 000 incremental-only point.
 //!
-//! [`LhsIndex`]: fdi_core::update::LhsIndex
+//! [`ChaseIndex`]: fdi_core::update::ChaseIndex
 
 use fdi_bench::update_bench::{
-    assert_pipelines_agree, measure_obs_overhead, median_of, mixes, render_json, run_incremental,
-    run_journaled, run_rebuild, spec_for, Point, POLICY,
+    assert_journal_agrees, assert_pipelines_agree, measure_clone, measure_obs_overhead, median_of,
+    mixes, render_json, run_incremental, run_journaled, run_rebuild, spec_for, Point,
+    DEFAULT_MIXES, POLICY,
 };
 use fdi_bench::{fmt_duration, Table};
-use fdi_core::update::Database;
+use fdi_core::update::{Database, Policy};
 use fdi_gen::{large_workload, update_stream};
 use std::io::Write;
 
@@ -46,18 +53,21 @@ fn main() {
     };
     let mut table = Table::new([
         "n",
+        "policy",
         "mix",
         "incremental (256 ops)",
         "journaled (mem WAL)",
         "overhead",
         "rebuild-per-op",
         "speedup",
+        "db clone",
     ]);
     let mut points = Vec::new();
     for &n in sizes {
         let w = large_workload(7, n, 0.15, 0.1, 4);
         let db = Database::new(w.instance.clone(), w.fds.clone(), POLICY).expect("load mode");
         let repeats = if n >= 100_000 { 3 } else { 5 };
+        let t_clone = measure_clone(&db, 11);
         for (mix_name, mix) in mixes() {
             let ops = update_stream(STREAM_SEED, &spec_for(n), n, OPS, mix);
             let t_incremental = median_of(repeats, || run_incremental(&db, &ops).0);
@@ -82,6 +92,7 @@ fn main() {
                 .unwrap_or_else(|| "-".to_string());
             table.row([
                 n.to_string(),
+                "none".to_string(),
                 mix_name.to_string(),
                 fmt_duration(t_incremental),
                 fmt_duration(t_journaled),
@@ -93,14 +104,59 @@ fn main() {
                     .map(fmt_duration)
                     .unwrap_or_else(|| "(skipped)".into()),
                 speedup,
+                fmt_duration(t_clone),
             ]);
             points.push(Point {
                 n,
+                policy: "none",
                 mix: mix_name,
                 ops: OPS,
                 incremental_ns: t_incremental.as_nanos(),
                 journaled_ns: t_journaled.as_nanos(),
                 rebuild_ns: t_rebuild.map(|d| d.as_nanos()),
+                db_clone_ns: t_clone.as_nanos(),
+            });
+        }
+        // The serving default: weak enforcement decided by, and NS-rule
+        // propagation done by, the delta chase of every update.
+        let db = Database::new(w.instance.clone(), w.fds.clone(), Policy::default())
+            .expect("large workloads are weakly satisfiable");
+        let t_clone = measure_clone(&db, 11);
+        for (mix_name, mix) in mixes() {
+            if !DEFAULT_MIXES.contains(&mix_name) {
+                continue;
+            }
+            let ops = update_stream(STREAM_SEED, &spec_for(n), n, OPS, mix);
+            let t_incremental = median_of(repeats, || run_incremental(&db, &ops).0);
+            let t_journaled = median_of(repeats, || run_journaled(&db, &ops).0);
+            assert_journal_agrees(
+                &db,
+                &ops,
+                &format!("n = {n}, default policy, mix {mix_name}"),
+            );
+            table.row([
+                n.to_string(),
+                "default".to_string(),
+                mix_name.to_string(),
+                fmt_duration(t_incremental),
+                fmt_duration(t_journaled),
+                format!(
+                    "×{:.2}",
+                    t_journaled.as_secs_f64() / t_incremental.as_secs_f64()
+                ),
+                "-".to_string(),
+                "-".to_string(),
+                fmt_duration(t_clone),
+            ]);
+            points.push(Point {
+                n,
+                policy: "default",
+                mix: mix_name,
+                ops: OPS,
+                incremental_ns: t_incremental.as_nanos(),
+                journaled_ns: t_journaled.as_nanos(),
+                rebuild_ns: None,
+                db_clone_ns: t_clone.as_nanos(),
             });
         }
     }

@@ -6,25 +6,33 @@
 //! Three pipelines perform identical instance mutations:
 //!
 //! * **incremental** — a [`Database`] under a no-check/no-propagate
-//!   policy: every op is one `LhsIndex` delta on stable [`RowId`]s
-//!   (deletes tombstone + unfile, `O(|F| · bucket)`, no survivor
-//!   renumbering);
+//!   policy ([`POLICY`]): every op is one `ChaseIndex` delta on stable
+//!   [`RowId`]s (deletes tombstone + unfile, `O(|F| · bucket)`, no
+//!   survivor renumbering);
 //! * **journaled** — the same database wrapped in a
 //!   [`JournaledDatabase`] over in-memory storage with a sync barrier
 //!   after every op, so the gap over *incremental* is the pure
 //!   write-ahead-journaling overhead (op encoding + append + barrier),
 //!   free of disk noise;
 //! * **rebuild-per-op** — the same mutations on a plain [`Instance`],
-//!   with `LhsIndex::build` re-run from scratch after every op (the
+//!   with `ChaseIndex::build` re-run from scratch after every op (the
 //!   pre-delta strategy the deltas replaced).
 //!
 //! Both resolve an op's positional row reference through the same
 //! display-order live-row bookkeeping ([`LiveRows`] on the incremental
 //! side, a mirrored id vector on the rebuild side), so they always
 //! target the same logical row.
+//!
+//! A second lane times the same incremental and journaled pipelines
+//! under [`Policy::default`] (weak enforcement with NS-rule
+//! propagation — the serving default), where every accepted update
+//! runs the delta chase and every weak verdict comes from it
+//! ([`DEFAULT_MIXES`]; no rebuild-per-op column, since the rebuild
+//! pipeline neither checks nor chases). Every point also records the
+//! cost of one [`Database::clone`] — what an epoch publication pays.
 
 use fdi_core::fd::FdSet;
-use fdi_core::update::{Database, Enforcement, LhsIndex, Policy};
+use fdi_core::update::{ChaseIndex, Database, Enforcement, Policy};
 use fdi_gen::{apply_op, LiveRows, UpdateMix, UpdateOp, WorkloadSpec};
 use fdi_relation::instance::Instance;
 use fdi_relation::rowid::RowId;
@@ -39,10 +47,16 @@ pub const POLICY: Policy = Policy {
     propagate: false,
 };
 
+/// The mixes the [`Policy::default`] lane times.
+pub const DEFAULT_MIXES: [&str; 3] = ["insert", "modify", "mixed"];
+
 /// One measured configuration.
 pub struct Point {
     /// Starting relation size.
     pub n: usize,
+    /// Policy lane: `"none"` ([`POLICY`]) or `"default"`
+    /// ([`Policy::default`]).
+    pub policy: &'static str,
     /// Mix name (see [`mixes`]).
     pub mix: &'static str,
     /// Ops applied per run.
@@ -54,6 +68,8 @@ pub struct Point {
     pub journaled_ns: u128,
     /// Median wall time of rebuild-per-op (`None` when skipped).
     pub rebuild_ns: Option<u128>,
+    /// Median wall time of one clone of the starting database.
+    pub db_clone_ns: u128,
 }
 
 /// The benchmarked op mixes. `delete_heavy` (50% deletes) and `churn`
@@ -86,6 +102,15 @@ pub fn median_of(repeats: usize, mut f: impl FnMut() -> Duration) -> Duration {
     let mut times: Vec<Duration> = (0..repeats).map(|_| f()).collect();
     times.sort_unstable();
     times[times.len() / 2]
+}
+
+/// Median wall time of one [`Database::clone`] of `db`.
+pub fn measure_clone(db: &Database, repeats: usize) -> Duration {
+    median_of(repeats, || {
+        let start = Instant::now();
+        std::hint::black_box(db.clone());
+        start.elapsed()
+    })
 }
 
 /// Applies the stream through the delta-maintained [`Database`].
@@ -157,9 +182,9 @@ pub fn run_rebuild(
     base: &Instance,
     fds: &FdSet,
     ops: &[UpdateOp],
-) -> (Duration, Instance, LhsIndex) {
+) -> (Duration, Instance, ChaseIndex) {
     let mut instance = base.clone();
-    let mut index = LhsIndex::build(&instance, fds);
+    let mut index = ChaseIndex::build(&instance, fds);
     let mut live: Vec<RowId> = instance.row_ids().collect();
     let start = Instant::now();
     for op in ops {
@@ -189,7 +214,7 @@ pub fn run_rebuild(
                 unreachable!("bench mixes keep resolve ops off (blind targets)")
             }
         }
-        index = std::hint::black_box(LhsIndex::build(&instance, fds));
+        index = std::hint::black_box(ChaseIndex::build(&instance, fds));
     }
     (start.elapsed(), instance, index)
 }
@@ -236,6 +261,41 @@ pub fn assert_pipelines_agree(
     );
 }
 
+/// The honesty check of the [`Policy::default`] lane, where the
+/// rebuild pipeline (no checks, no chase) does not apply: the
+/// delta-maintained index equals a fresh build, the journaled lane ends
+/// where the incremental lane ends, and crash recovery of its journal
+/// reproduces that state. Recovery replays only the accepted ops, and
+/// a rejected insert may have burned null ids, so recovered and live
+/// states are compared up to null naming (canonical form, buckets).
+pub fn assert_journal_agrees(db: &Database, ops: &[UpdateOp], label: &str) {
+    let (_, final_db) = run_incremental(db, ops);
+    assert!(
+        final_db
+            .index()
+            .same_buckets(&ChaseIndex::build(final_db.instance(), final_db.fds())),
+        "delta-maintained index diverges from a fresh build: {label}"
+    );
+    let (_, jdb) = run_journaled(db, ops);
+    assert_eq!(
+        jdb.db().instance().render(true),
+        final_db.instance().render(true),
+        "journaled pipeline diverges from incremental: {label}"
+    );
+    let (live, journal) = jdb.into_parts();
+    let recovered = fdi_store::Journal::recover(journal.into_storage().crash())
+        .expect("a fully synced journal recovers");
+    assert_eq!(
+        recovered.db.instance().canonical_form(),
+        live.instance().canonical_form(),
+        "recovery does not reproduce the journaled database: {label}"
+    );
+    assert!(
+        recovered.db.index().same_buckets(live.index()),
+        "recovered index diverges: {label}"
+    );
+}
+
 /// The instrumented-vs-noop honesty lane: the incremental pipeline
 /// timed with the default noop recorder vs with a live
 /// [`fdi_obs::Recorder`] tallying every op's acceptance and
@@ -273,10 +333,11 @@ pub fn render_json(points: &[Point], obs: &crate::ObsOverhead) -> String {
             .unwrap_or_else(|| "null".to_string());
         let overhead = p.journaled_ns as f64 / p.incremental_ns as f64;
         out.push_str(&format!(
-            "    {{\"n\": {}, \"mix\": \"{}\", \"ops\": {}, \"incremental_ns\": {}, \
-             \"journaled_ns\": {}, \"journal_overhead\": {:.2}, \
-             \"rebuild_ns\": {}, \"speedup\": {}}}{}\n",
+            "    {{\"n\": {}, \"policy\": \"{}\", \"mix\": \"{}\", \"ops\": {}, \
+             \"incremental_ns\": {}, \"journaled_ns\": {}, \"journal_overhead\": {:.2}, \
+             \"rebuild_ns\": {}, \"speedup\": {}, \"db_clone_ns\": {}}}{}\n",
             p.n,
+            p.policy,
             p.mix,
             p.ops,
             p.incremental_ns,
@@ -284,6 +345,7 @@ pub fn render_json(points: &[Point], obs: &crate::ObsOverhead) -> String {
             overhead,
             rebuild,
             speedup,
+            p.db_clone_ns,
             if i + 1 == points.len() { "" } else { "," }
         ));
     }
@@ -309,6 +371,24 @@ mod tests {
             let ops = update_stream(11, &spec_for(n), n, 64, mix);
             assert_pipelines_agree(&db, &ops, &w.instance, &w.fds, mix_name);
         }
+    }
+
+    /// The [`Policy::default`] lane at smoke scale: weakly enforced,
+    /// propagating inserts and modifies (some rejected) agree with the
+    /// journaled lane and its recovery, and the index stays fresh.
+    #[test]
+    fn default_policy_lane_agrees_at_smoke_scale() {
+        let n = 100;
+        let w = large_workload(7, n, 0.15, 0.1, 4);
+        let db = Database::new(w.instance.clone(), w.fds.clone(), Policy::default())
+            .expect("large workloads are weakly satisfiable");
+        for (mix_name, mix) in mixes() {
+            if DEFAULT_MIXES.contains(&mix_name) {
+                let ops = update_stream(11, &spec_for(n), n, 64, mix);
+                assert_journal_agrees(&db, &ops, mix_name);
+            }
+        }
+        assert!(measure_clone(&db, 3).as_nanos() > 0);
     }
 
     /// The delete-heavy mixes really are delete-heavy (≥ 50% deletes
@@ -367,19 +447,23 @@ mod tests {
         let points = vec![
             Point {
                 n: 100,
+                policy: "none",
                 mix: "mixed",
                 ops: 64,
                 incremental_ns: 1000,
                 journaled_ns: 1500,
                 rebuild_ns: Some(5000),
+                db_clone_ns: 700,
             },
             Point {
                 n: 1000,
+                policy: "default",
                 mix: "churn",
                 ops: 64,
                 incremental_ns: 2000,
                 journaled_ns: 2400,
                 rebuild_ns: None,
+                db_clone_ns: 900,
             },
         ];
         let obs = crate::ObsOverhead {
@@ -393,6 +477,8 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"mix\": \"mixed\""));
+        assert!(json.contains("\"policy\": \"default\""));
+        assert!(json.contains("\"db_clone_ns\": 700"));
         assert!(json.contains("\"speedup\": 5.0"));
         assert!(json.contains("\"rebuild_ns\": null"));
         assert!(json.contains("\"journaled_ns\": 1500"));

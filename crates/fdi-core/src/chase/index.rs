@@ -29,6 +29,25 @@
 //! class, and the first constant promotes it (later nulls pair against
 //! the earliest constant-bearing row, exactly as the pair scan does).
 //!
+//! # One persistent index, delta runs
+//!
+//! The indexes live in a [`ChaseIndex`] that outlives a chase: a
+//! [`crate::update::Database`] keeps one, maintains it by single-row
+//! deltas, and runs the NS-rules on it after each update **from the
+//! touched rows' buckets only**. On a plain-chase fixpoint every other
+//! bucket is clean, and only membership growth can make a clean bucket
+//! applicable — the argument the parallel path below uses to skip
+//! clean sweeps — so the delta run fires exactly the events, in exactly
+//! the order, of a whole-instance run. The one subtlety is a bucket of
+//! the FD being swept that grows before its turn in the first pass (a
+//! cross-column class re-keys it): a whole-instance pass would sweep it
+//! at its place, so the delta run admits it there. The sweeps also
+//! flag a bucket left holding two distinct constants in a dependent
+//! column — the weak-enforcement verdict — and an undo trail of every
+//! write lets a rejected update roll the index, the cells and the NEC
+//! forest back exactly. [`chase_indexed`] and friends are the same run
+//! over a freshly built index with every bucket seeded.
+//!
 //! # Order fidelity (the column-local-NEC restriction)
 //!
 //! The plain system is not confluent (Figure 5), so matching the naive
@@ -68,12 +87,13 @@ use fdi_exec::Executor;
 use fdi_obs::{Counter, Gauge, Recorder};
 use fdi_relation::attrs::{AttrId, AttrSet};
 use fdi_relation::instance::Instance;
-use fdi_relation::nec::NecSnapshot;
+use fdi_relation::nec::{NecSnapshot, NecUndo};
 use fdi_relation::rowid::RowId;
 use fdi_relation::symbol::Symbol;
+use fdi_relation::tuple::Tuple;
 use fdi_relation::value::{NullId, Value};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use super::ns::{NsChaseResult, NsEvent, NsEventKind};
 
@@ -133,12 +153,12 @@ pub fn chase_indexed_par_with(
     exec: &Executor,
     rec: &Recorder,
 ) -> NsChaseResult {
-    let mut engine = Engine::new_par(instance, fds, exec);
-    engine.rec = rec.clone();
-    let passes = engine.run(instance, exec);
+    let mut work = instance.clone();
+    let mut index = ChaseIndex::build_par(&work, fds, exec);
+    let (events, passes) = index.settle_all(&mut work, exec, rec);
     NsChaseResult {
-        instance: engine.work,
-        events: engine.events,
+        instance: work,
+        events,
         passes,
     }
 }
@@ -289,64 +309,147 @@ pub fn order_replay_exact(instance: &Instance) -> bool {
     order_replay_caveats(instance).is_empty()
 }
 
-/// One FD slot: its position in the original set plus the normalized
-/// dependency (trivial members are dropped up front — agreement on `X`
-/// makes every `Y ⊆ X` comparison inert).
-struct FdSlot {
-    original_index: usize,
+/// Bucket keys as stored: one allocation shared by the key map and the
+/// bucket slab, so a clone of the index bumps reference counts instead
+/// of copying every key.
+type Key = Arc<[u64]>;
+
+/// Slot-table entry of a slot not filed under an FD (a dead slot).
+const UNFILED: u32 = u32::MAX;
+
+/// Below this row count [`ChaseIndex::build_par`] (and the batch filing
+/// of [`crate::update::Database::insert_batch`]) computes keys
+/// sequentially regardless of the executor: a cold build of a few
+/// thousand rows is microseconds of hashing, and OS thread spawn/join
+/// would cost more than it saves. (The two paths produce identical
+/// indexes; the property suite drives `build_par` across thread counts
+/// directly.)
+pub const PAR_BUILD_SMALL_N: usize = 4096;
+
+/// One FD's buckets: NEC-canonical determinant key → bucket id, a
+/// bucket slab (key and member rows per id), and a dense per-slot table
+/// naming each row's bucket.
+#[derive(Debug, Clone)]
+struct FdBuckets {
+    /// The normalized dependency.
     fd: Fd,
+    ids: HashMap<Key, u32>,
+    keys: Vec<Key>,
+    /// Member rows per bucket id, **unsorted**, so merges are `O(moved)`
+    /// appends — sweeps sort their own copy.
+    members: Vec<Vec<RowId>>,
+    /// Released bucket ids, reused last-in first-out.
+    free: Vec<u32>,
+    /// Bucket ids whose key carries a null-class atom: the rows a
+    /// constant determinant may still match under the strong
+    /// convention.
+    wild: HashSet<u32>,
+    /// Per row slot: its bucket id, or [`UNFILED`].
+    slot: Vec<u32>,
 }
 
-struct Engine {
-    work: Instance,
-    fds: Vec<FdSlot>,
-    /// Per FD slot: canonical determinant key → member rows. Lists are
-    /// kept **unsorted** so bucket merges are `O(moved)` appends —
-    /// sorting happens once per sweep instead (collision-skewed
-    /// workloads produce heavy buckets, and per-migration merge-sorts
-    /// into a heavy bucket would cost `O(|bucket|)` per event).
-    buckets: Vec<HashMap<GroupKey, Vec<RowId>>>,
-    /// Per FD slot, per row *slot*: the key its bucket is filed under
-    /// (dense side table indexed by `RowId::index`, sized
-    /// `slot_bound`; dead slots hold an unused default).
-    row_keys: Vec<Vec<GroupKey>>,
+impl FdBuckets {
+    fn new(fd: Fd) -> FdBuckets {
+        FdBuckets {
+            fd,
+            ids: HashMap::new(),
+            keys: Vec::new(),
+            members: Vec::new(),
+            free: Vec::new(),
+            wild: HashSet::new(),
+            slot: Vec::new(),
+        }
+    }
+
+    /// Do the NS-rules fire for this FD? (Trivial dependencies are
+    /// indexed for the strong check but never chased: agreement on `X`
+    /// makes every `Y ⊆ X` comparison inert.)
+    fn chased(&self) -> bool {
+        !self.fd.is_trivial()
+    }
+
+    fn bucket_of(&self, row: RowId) -> u32 {
+        self.slot.get(row.index()).copied().unwrap_or(UNFILED)
+    }
+
+    fn note_wild(&mut self, id: u32) {
+        if self.keys[id as usize]
+            .iter()
+            .any(|&atom| groupkey::atom_class(atom).is_some())
+        {
+            self.wild.insert(id);
+        } else {
+            self.wild.remove(&id);
+        }
+    }
+}
+
+/// One reversible write of an index mutation, recorded while an undo
+/// trail is open (see [`ChaseIndex::begin_undo`]).
+#[derive(Debug, Clone)]
+enum Step {
+    Cell(RowId, AttrId, Value),
+    Slot(usize, RowId, u32),
+    Pushed(usize, u32),
+    SwapRemoved(usize, u32, usize, RowId),
+    Extended(usize, u32, usize),
+    Opened(usize, u32, bool),
+    Closed(usize, u32, Key, Vec<RowId>),
+    Renamed(usize, u32, Key),
+    OccPushed(u32),
+    OccSwapRemoved(u32, usize, (RowId, u16)),
+    OccTaken(u32, Vec<(RowId, u16)>),
+    OccExtended(u32, usize),
+    Rows(usize),
+}
+
+/// The undo trail of one mutation: index steps plus the NEC store's own
+/// log, replayed backwards on rollback.
+#[derive(Debug, Clone)]
+struct Trail {
+    steps: Vec<Step>,
+    nec: NecUndo,
+}
+
+/// The persistent NEC-canonical index the NS-rules run on: per FD, rows
+/// hash-partitioned by the canonical key of their determinant
+/// ([`crate::groupkey`]; bucket co-membership *is* the rule trigger),
+/// plus per NEC class the list of its null occurrences.
+///
+/// Built once ([`build`](ChaseIndex::build) /
+/// [`build_par`](ChaseIndex::build_par)) and then maintained by deltas:
+/// a [`crate::update::Database`] files, unfiles and re-keys single rows,
+/// and its NS-rule propagation runs on this very index from the buckets
+/// of the rows an update touched. The chase entry points
+/// ([`chase_indexed_par`]) are the same run seeded with every bucket.
+/// [`same_buckets`](ChaseIndex::same_buckets) is the equivalence the
+/// property suites compare a delta-maintained index and a fresh build
+/// with.
+#[derive(Debug, Clone)]
+pub struct ChaseIndex {
+    fds: Vec<FdBuckets>,
     /// NEC class root → null occurrences `(row, attr)` of the class.
-    occurrences: HashMap<u32, Vec<(RowId, u16)>>,
-    /// attr index → FD slots with that attribute in their determinant.
-    lhs_slots: Vec<Vec<usize>>,
-    /// Per FD slot: bucket keys whose membership changed (the worklist).
-    dirty: Vec<HashSet<GroupKey>>,
-    /// Per FD slot: bucket keys migrated *into* since the slot's agenda
-    /// was classified this pass — the keys whose clean verdicts are
-    /// stale (membership grew). Only maintained and consulted on the
-    /// parallel run path (`parallel`); cleared per (pass, slot).
-    touched: Vec<HashSet<GroupKey>>,
-    /// Was the engine built for a multi-thread executor? Gates the
-    /// classification phase and the `touched` bookkeeping so the
-    /// sequential path pays nothing for them.
-    parallel: bool,
-    events: Vec<NsEvent>,
-    /// Metrics sink; defaults to noop and is swapped in by the `_with`
-    /// entry points. Only ever touched from the sequential application
-    /// path, so recorded values are thread-count-invariant.
-    rec: Recorder,
+    occ: HashMap<u32, Vec<(RowId, u16)>>,
+    /// attr index → FDs with that attribute in their determinant.
+    lhs_fds: Vec<Vec<usize>>,
+    rows: usize,
+    trail: Option<Trail>,
 }
 
-/// The non-trivial FDs of the set, with their original indexes —
-/// shared scaffolding of both engine constructors.
-fn fd_slots(fds: &FdSet) -> Vec<FdSlot> {
-    fds.iter()
-        .enumerate()
-        .map(|(original_index, fd)| FdSlot {
-            original_index,
-            fd: fd.normalized(),
-        })
-        .filter(|slot| !slot.fd.is_trivial())
-        .collect()
+/// The canonical key of `tuple[lhs]`, class roots read from the live
+/// store without path compression (an index delta never rewrites the
+/// NEC forest — only rule applications do).
+fn live_key_into(key: &mut GroupKey, work: &Instance, tuple: &Tuple, row: RowId, lhs: AttrSet) {
+    key.clear();
+    for a in lhs.iter() {
+        key.push(groupkey::atom_with(tuple.get(a), row, |n| {
+            work.necs().find_readonly(n)
+        }));
+    }
 }
 
 /// Is no plain NS-rule applicable within this bucket? Read-only twin of
-/// [`Engine::sweep_bucket`]'s trigger conditions, for the parallel
+/// [`ChaseIndex::sweep`]'s trigger conditions, for the parallel
 /// classification phase: a bucket is *clean* iff every dependent column
 /// holds (besides inert `nothing`s) only one constant or only nulls of
 /// one NEC class.
@@ -379,221 +482,786 @@ fn bucket_clean(work: &Instance, snapshot: &NecSnapshot, rows: &[RowId], rhs: At
     true
 }
 
-impl Engine {
-    /// Assembles an engine from its built indexes — the scaffolding
-    /// (`lhs_slots`, empty worklists) shared by both constructors.
-    fn assemble(
-        work: Instance,
-        slots: Vec<FdSlot>,
-        buckets: Vec<HashMap<GroupKey, Vec<RowId>>>,
-        row_keys: Vec<Vec<GroupKey>>,
-        occurrences: HashMap<u32, Vec<(RowId, u16)>>,
-        parallel: bool,
-    ) -> Engine {
-        let mut lhs_slots = vec![Vec::new(); work.arity()];
-        for (si, slot) in slots.iter().enumerate() {
-            for a in slot.fd.lhs.iter() {
-                lhs_slots[a.index()].push(si);
-            }
-        }
-        let dirty = vec![HashSet::new(); slots.len()];
-        let touched = vec![HashSet::new(); slots.len()];
-        Engine {
-            work,
-            fds: slots,
-            buckets,
-            row_keys,
-            occurrences,
-            lhs_slots,
-            dirty,
-            touched,
+/// Pass-1 admission state of a delta run for the FD being processed:
+/// the buckets a whole-instance pass would sweep that the delta agenda
+/// has not drawn, admitted when a migration grows one of them before
+/// its turn.
+struct Admission {
+    fd: usize,
+    /// Keys whose place on the whole-instance agenda is settled: drawn,
+    /// admitted, already passed, or created after the draw.
+    considered: HashSet<Key>,
+    cursor: Option<(RowId, Key)>,
+    admitted: BTreeSet<(RowId, Key)>,
+}
+
+/// Worklist state of one chase run over a [`ChaseIndex`].
+pub(crate) struct Run {
+    /// Per FD: bucket keys whose membership changed (the worklist).
+    dirty: Vec<HashSet<Key>>,
+    /// Per FD: bucket keys migrated *into* since the FD's agenda was
+    /// classified this pass — the keys whose clean verdicts are stale.
+    /// Only maintained on the parallel path; cleared per (pass, FD).
+    touched: Vec<HashSet<Key>>,
+    parallel: bool,
+    /// Seeded from touched rows rather than every bucket: pass 1 then
+    /// admits clean buckets that grow before their turn.
+    delta: bool,
+    admission: Option<Admission>,
+    events: Vec<NsEvent>,
+    /// Rows whose cells a substitution rewrote (unsorted, repeats).
+    substituted: Vec<RowId>,
+    /// Did a sweep meet two distinct constants in a dependent column?
+    conflict: bool,
+    stop_on_conflict: bool,
+    rec: Recorder,
+}
+
+impl Run {
+    fn new(fds: usize, parallel: bool, delta: bool) -> Run {
+        Run {
+            dirty: vec![HashSet::new(); fds],
+            touched: vec![HashSet::new(); fds],
             parallel,
+            delta,
+            admission: None,
             events: Vec::new(),
+            substituted: Vec::new(),
+            conflict: false,
+            stop_on_conflict: false,
             rec: Recorder::noop(),
         }
     }
 
-    fn new(instance: &Instance, fds: &FdSet) -> Engine {
-        let mut work = instance.clone();
-        let slots = fd_slots(fds);
-        let n = work.len();
-        let bound = work.slot_bound();
-        let arity = work.arity();
-
-        let rows: Vec<RowId> = work.row_ids().collect();
-        let mut occurrences: HashMap<u32, Vec<(RowId, u16)>> = HashMap::new();
-        for &row in &rows {
-            for col in 0..arity {
-                if let Value::Null(id) = work.value(row, AttrId(col as u16)) {
-                    let root = work.necs_mut().find(id);
-                    occurrences
-                        .entry(root.0)
-                        .or_default()
-                        .push((row, col as u16));
-                }
-            }
-        }
-
-        let snapshot = work.necs().canonical_snapshot();
-        let mut buckets = Vec::with_capacity(slots.len());
-        let mut row_keys = Vec::with_capacity(slots.len());
-        let mut key = GroupKey::new();
-        for slot in &slots {
-            let mut fd_buckets: HashMap<GroupKey, Vec<RowId>> = HashMap::with_capacity(n);
-            let mut fd_keys: Vec<GroupKey> = vec![GroupKey::new(); bound];
-            for &row in &rows {
-                groupkey::key_into(&mut key, work.tuple(row), row, slot.fd.lhs, &snapshot);
-                fd_buckets.entry(key.clone()).or_default().push(row);
-                fd_keys[row.index()] = key.clone();
-            }
-            buckets.push(fd_buckets);
-            row_keys.push(fd_keys);
-        }
-
-        Engine::assemble(work, slots, buckets, row_keys, occurrences, false)
+    fn push_event(&mut self, fd_index: usize, a: RowId, b: RowId, attr: AttrId, kind: NsEventKind) {
+        self.events.push(NsEvent {
+            fd_index,
+            rows: (a.min(b), a.max(b)),
+            attr,
+            kind,
+        });
     }
 
-    /// Builds the engine with the index construction sharded over
-    /// [`RowId`] ranges: per-FD buckets, the per-slot key table, and
-    /// the occurrence index are each assembled from shard-local pieces
-    /// merged in shard order, reproducing the sequential build's maps
-    /// and list orders exactly (bucket member lists and occurrence
-    /// lists stay ascending / row-major). A 1-thread executor takes
-    /// [`Engine::new`] outright.
-    fn new_par(instance: &Instance, fds: &FdSet, exec: &Executor) -> Engine {
-        if exec.threads() == 1 {
-            return Engine::new(instance, fds);
+    /// A migration is about to grow bucket `key` of FD `fd` (whose
+    /// members are still `pre`): if the whole-instance pass would sweep
+    /// it later in this FD's agenda, the delta pass must too.
+    fn note_grown(&mut self, fd: usize, key: &Key, pre: &[RowId]) {
+        let Some(ad) = self.admission.as_mut().filter(|ad| ad.fd == fd) else {
+            return;
+        };
+        if !ad.considered.insert(key.clone()) || pre.len() < 2 {
+            return;
         }
-        let work = instance.clone();
-        let slots = fd_slots(fds);
-        let n = work.len();
-        let bound = work.slot_bound();
-        let arity = work.arity();
-        let snapshot = work.necs().canonical_snapshot();
-        let shards = work.row_id_shards(exec.threads() * 2);
+        let entry = (*pre.iter().min().expect("non-empty"), key.clone());
+        if ad.cursor.as_ref().is_none_or(|cursor| entry > *cursor) {
+            ad.admitted.insert(entry);
+        }
+    }
 
-        // Occurrence index: shard-local row-major scans, merged in
-        // shard order — each class's list stays (row, col)-major, the
-        // order the sequential build produces. Classes are keyed by
-        // snapshot root, which equals the union–find root `find` would
-        // return (compression changes parents, never roots).
-        let occ_locals = exec.map(&shards, |_, &shard| {
-            let mut occ: HashMap<u32, Vec<(RowId, u16)>> = HashMap::new();
-            for (row, tuple) in work.iter_live_in(shard) {
-                for col in 0..arity {
-                    if let Value::Null(id) = tuple.get(AttrId(col as u16)) {
-                        occ.entry(snapshot.root(id).0)
-                            .or_default()
-                            .push((row, col as u16));
-                    }
+    fn note_created(&mut self, fd: usize, key: &Key) {
+        if let Some(ad) = self.admission.as_mut().filter(|ad| ad.fd == fd) {
+            ad.considered.insert(key.clone());
+        }
+    }
+}
+
+/// What a delta run ([`ChaseIndex::settle`]) did.
+pub(crate) struct Settled {
+    /// NS-rule events, in the order a whole-instance chase fires them.
+    pub events: Vec<NsEvent>,
+    /// Rows whose cells the run substituted, ascending, deduplicated.
+    pub changed: Vec<RowId>,
+    /// Did some bucket end with two distinct constants in a dependent
+    /// column — i.e. does the extended chase derive `nothing`?
+    pub conflict: bool,
+}
+
+impl ChaseIndex {
+    fn empty(instance: &Instance, fds: &FdSet) -> ChaseIndex {
+        let fds: Vec<FdBuckets> = fds
+            .iter()
+            .map(|fd| FdBuckets::new(fd.normalized()))
+            .collect();
+        let mut lhs_fds = vec![Vec::new(); instance.arity()];
+        for (f, b) in fds.iter().enumerate() {
+            for a in b.fd.lhs.iter() {
+                lhs_fds[a.index()].push(f);
+            }
+        }
+        ChaseIndex {
+            fds,
+            occ: HashMap::new(),
+            lhs_fds,
+            rows: 0,
+            trail: None,
+        }
+    }
+
+    /// Builds the index for `instance` under `fds`.
+    pub fn build(instance: &Instance, fds: &FdSet) -> ChaseIndex {
+        ChaseIndex::build_par(instance, fds, &Executor::with_threads(1))
+    }
+
+    /// [`build`](ChaseIndex::build) with the key computation sharded
+    /// over [`RowId`] ranges on an `fdi-exec` executor — the cold-build
+    /// path of [`crate::update::Database::new`]. Keys are read-only and
+    /// embarrassingly parallel; filing stays sequential in ascending row
+    /// order, so the index is identical (bucket ids and member order
+    /// included) at every thread count. A 1-thread executor — or an
+    /// instance below [`PAR_BUILD_SMALL_N`] rows — takes the sequential
+    /// loop outright.
+    pub fn build_par(instance: &Instance, fds: &FdSet, exec: &Executor) -> ChaseIndex {
+        let mut index = ChaseIndex::empty(instance, fds);
+        let rows: Vec<RowId> = instance.row_ids().collect();
+        index.insert_rows_par(instance, &rows, exec);
+        index
+    }
+
+    /// Delta insert of a batch: files `rows` (live, unfiled, in order)
+    /// exactly as looping [`insert_row`](ChaseIndex::insert_row) would,
+    /// with the keys computed against one NEC snapshot — sharded over
+    /// `exec` when the executor and the batch are large enough.
+    pub(crate) fn insert_rows_par(&mut self, instance: &Instance, rows: &[RowId], exec: &Executor) {
+        let snapshot = instance.necs().canonical_snapshot();
+        let root_of = |n: NullId| snapshot.root(n);
+        let keys: Vec<GroupKey> = if exec.threads() == 1 || rows.len() < PAR_BUILD_SMALL_N {
+            rows.iter()
+                .map(|&row| self.flat_key(instance, row, root_of))
+                .collect()
+        } else {
+            let this = &*self;
+            exec.map(rows, |_, &row| this.flat_key(instance, row, root_of))
+        };
+        for (&row, flat) in rows.iter().zip(keys) {
+            self.file_row(instance, row, &flat, root_of);
+        }
+    }
+
+    /// The determinant keys of `row` under every FD, concatenated.
+    fn flat_key(
+        &self,
+        instance: &Instance,
+        row: RowId,
+        root_of: impl Fn(NullId) -> NullId,
+    ) -> GroupKey {
+        let tuple = instance.tuple(row);
+        self.fds
+            .iter()
+            .flat_map(|b| b.fd.lhs.iter())
+            .map(|a| groupkey::atom_with(tuple.get(a), row, &root_of))
+            .collect()
+    }
+
+    /// Files `row` under every FD (`flat` from
+    /// [`flat_key`](ChaseIndex::flat_key)) and its nulls into their
+    /// classes' occurrence lists.
+    fn file_row(
+        &mut self,
+        instance: &Instance,
+        row: RowId,
+        flat: &[u64],
+        root_of: impl Fn(NullId) -> NullId,
+    ) {
+        let mut at = 0;
+        for f in 0..self.fds.len() {
+            let len = self.fds[f].fd.lhs.len();
+            assert_eq!(
+                self.fds[f].bucket_of(row),
+                UNFILED,
+                "row {row} already filed"
+            );
+            self.file(f, row, &flat[at..at + len]);
+            at += len;
+        }
+        for (col, value) in instance.tuple(row).values().iter().enumerate() {
+            if let Value::Null(n) = *value {
+                self.occ_push(root_of(n).0, (row, col as u16));
+            }
+        }
+        self.set_rows(self.rows + 1);
+    }
+
+    /// Number of buckets for FD `fd_index`.
+    #[cfg(test)]
+    pub(crate) fn group_count(&self, fd_index: usize) -> usize {
+        self.fds[fd_index].ids.len()
+    }
+
+    /// The rows a new tuple must be checked against for FD `fd_index`
+    /// under the strong convention, ascending: when the tuple's
+    /// determinant is all constants, its exact bucket plus every bucket
+    /// whose key carries a null-class atom (rows whose `nothing`
+    /// determinants match nothing are left out); otherwise every live
+    /// row of `instance`. (The probe tuple's own row, if it is already
+    /// live but not yet filed, is the caller's to exclude.)
+    pub(crate) fn candidates(
+        &self,
+        fd_index: usize,
+        tuple: &Tuple,
+        instance: &Instance,
+    ) -> Vec<RowId> {
+        let b = &self.fds[fd_index];
+        let mut key = GroupKey::new();
+        if !groupkey::const_key_into(&mut key, tuple, b.fd.lhs) {
+            return instance.row_ids().collect();
+        }
+        let mut out: Vec<RowId> = b
+            .ids
+            .get(key.as_slice())
+            .map(|&id| b.members[id as usize].clone())
+            .unwrap_or_default();
+        for &id in &b.wild {
+            out.extend_from_slice(&b.members[id as usize]);
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Delta insert: files the live row `row` of `instance`.
+    ///
+    /// # Panics
+    /// Panics when `row` is already filed.
+    pub(crate) fn insert_row(&mut self, instance: &Instance, row: RowId) {
+        let root_of = |n: NullId| instance.necs().find_readonly(n);
+        let flat = self.flat_key(instance, row, root_of);
+        self.file_row(instance, row, &flat, root_of);
+    }
+
+    /// Delta delete: unfiles the live row `row` of `instance` (call
+    /// before the instance drops it) — `O(|F| · bucket + class)`, no
+    /// other entry moves.
+    ///
+    /// # Panics
+    /// Panics when `row` is not filed.
+    pub fn remove_row(&mut self, instance: &Instance, row: RowId) {
+        for f in 0..self.fds.len() {
+            self.unfile(f, row);
+        }
+        for (col, value) in instance.tuple(row).values().iter().enumerate() {
+            if let Value::Null(n) = *value {
+                self.occ_remove(instance.necs().find_readonly(n).0, (row, col as u16));
+            }
+        }
+        self.set_rows(self.rows - 1);
+    }
+
+    /// Writes one cell and re-files its row under the FDs whose
+    /// determinant holds `attr` — the delta of a modification.
+    pub(crate) fn write_cell(
+        &mut self,
+        work: &mut Instance,
+        row: RowId,
+        attr: AttrId,
+        value: Value,
+    ) {
+        let old = work.value(row, attr);
+        if let Value::Null(n) = old {
+            self.occ_remove(work.necs().find_readonly(n).0, (row, attr.0));
+        }
+        self.set_cell(work, row, attr, value);
+        if let Value::Null(n) = value {
+            self.occ_push(work.necs().find_readonly(n).0, (row, attr.0));
+        }
+        let mut key = GroupKey::new();
+        for i in 0..self.lhs_fds[attr.index()].len() {
+            let f = self.lhs_fds[attr.index()][i];
+            live_key_into(&mut key, work, work.tuple(row), row, self.fds[f].fd.lhs);
+            let id = self.fds[f].bucket_of(row);
+            if *self.fds[f].keys[id as usize] != *key {
+                self.unfile(f, row);
+                self.file(f, row, &key);
+            }
+        }
+    }
+
+    /// Substitutes `value` for every occurrence of the NEC class rooted
+    /// at `root` and migrates the buckets keyed by the class (as work
+    /// of `run`, if any); returns the substituted cells.
+    pub(crate) fn substitute_class(
+        &mut self,
+        work: &mut Instance,
+        root: NullId,
+        value: Symbol,
+        run: Option<&mut Run>,
+    ) -> Vec<(RowId, u16)> {
+        let occs = self.occ_take(root.0);
+        for &(row, col) in &occs {
+            debug_assert!(matches!(work.value(row, AttrId(col)), Value::Null(_)));
+            self.set_cell(work, row, AttrId(col), Value::Const(value));
+        }
+        self.migrate(work, &occs, run);
+        occs
+    }
+
+    /// Applies the old → new id pairs returned by [`Instance::compact`]
+    /// (to the compacted `instance`): every stored occurrence of a moved
+    /// id is rewritten in place — `O(moved · (|F| · bucket + class))`,
+    /// no rebuild. Keys holding a `nothing` atom name their row, so
+    /// those buckets are renamed too.
+    pub(crate) fn remap(&mut self, instance: &Instance, moved: &[(RowId, RowId)]) {
+        // Pairs must be applied in the order compact() reports them
+        // (ascending old slot): chains like (2→1),(3→2) re-use a just-
+        // vacated id, so processing out of order would rewrite the
+        // wrong row.
+        let mut key = GroupKey::new();
+        for &(old, new) in moved {
+            let tuple = instance.tuple(new);
+            for f in 0..self.fds.len() {
+                let id = self.fds[f].bucket_of(old);
+                let b = &mut self.fds[f];
+                b.slot[old.index()] = UNFILED;
+                b.slot[new.index()] = id;
+                let members = &mut b.members[id as usize];
+                let pos = members.iter().position(|&r| r == old).expect("filed row");
+                members[pos] = new;
+                live_key_into(&mut key, instance, tuple, new, b.fd.lhs);
+                if *b.keys[id as usize] != *key {
+                    self.rename(f, id, &key);
                 }
             }
-            occ
+            for (col, value) in tuple.values().iter().enumerate() {
+                if let Value::Null(n) = *value {
+                    let cells = self
+                        .occ
+                        .get_mut(&instance.necs().find_readonly(n).0)
+                        .expect("class occurrences");
+                    let pos = cells
+                        .iter()
+                        .position(|&c| c == (old, col as u16))
+                        .expect("filed occurrence");
+                    cells[pos] = (new, col as u16);
+                }
+            }
+        }
+    }
+
+    /// Order-insensitive equality: same dependencies, same row count,
+    /// per FD the same key → row-set mapping (with every slot-table
+    /// entry naming its bucket), and the same occurrence lists. Null
+    /// class atoms compare by their class's least occurrence cell, not
+    /// by null id, so two instances whose classes correspond
+    /// positionally (one of them having burned allocator ids on a
+    /// rejected update) index identically. This is the equivalence the
+    /// property suites use to prove a delta-maintained index identical
+    /// to a fresh [`build`](ChaseIndex::build).
+    pub fn same_buckets(&self, other: &ChaseIndex) -> bool {
+        self.canon() == other.canon()
+    }
+
+    fn canon(&self) -> Canon {
+        let first: HashMap<u32, (RowId, u16)> = self
+            .occ
+            .iter()
+            .filter_map(|(&root, cells)| Some((root, *cells.iter().min()?)))
+            .collect();
+        let canon_key = |key: &[u64]| -> CanonKey {
+            key.iter()
+                .map(|&atom| match groupkey::atom_class(atom) {
+                    Some(root) => (
+                        true,
+                        first.get(&root.0).map_or(u64::MAX, |&(row, col)| {
+                            (u64::from(row.0) << 16) | u64::from(col)
+                        }),
+                    ),
+                    None => (false, atom),
+                })
+                .collect()
+        };
+        let mut consistent = true;
+        let fds = self
+            .fds
+            .iter()
+            .map(|b| {
+                let mut buckets: CanonBuckets = b
+                    .ids
+                    .iter()
+                    .map(|(key, &id)| {
+                        let mut rows = b.members[id as usize].clone();
+                        consistent &= !rows.is_empty()
+                            && b.keys[id as usize] == *key
+                            && rows.iter().all(|&r| b.bucket_of(r) == id);
+                        rows.sort_unstable();
+                        (canon_key(key), rows)
+                    })
+                    .collect();
+                buckets.sort();
+                consistent &=
+                    buckets.iter().map(|(_, rows)| rows.len()).sum::<usize>() == self.rows;
+                (b.fd, buckets)
+            })
+            .collect();
+        let mut occ: Vec<Vec<(RowId, u16)>> = self
+            .occ
+            .values()
+            .map(|cells| {
+                let mut cells = cells.clone();
+                cells.sort_unstable();
+                cells
+            })
+            .collect();
+        occ.sort();
+        Canon {
+            fds,
+            occ,
+            rows: self.rows,
+            consistent,
+        }
+    }
+
+    // ---- undo trail -------------------------------------------------
+
+    /// Opens an undo trail: every following write — index steps, cells
+    /// written through the index, NEC rewrites of rule applications —
+    /// is recorded until [`commit_undo`](ChaseIndex::commit_undo) or
+    /// [`rollback`](ChaseIndex::rollback).
+    pub(crate) fn begin_undo(&mut self, work: &Instance) {
+        self.trail = Some(Trail {
+            steps: Vec::new(),
+            nec: work.necs().undo_point(),
         });
-        let mut occurrences: HashMap<u32, Vec<(RowId, u16)>> = HashMap::new();
-        for local in occ_locals {
-            for (root, mut occs) in local {
-                match occurrences.entry(root) {
-                    Entry::Occupied(mut entry) => entry.get_mut().append(&mut occs),
-                    Entry::Vacant(entry) => {
-                        entry.insert(occs);
+    }
+
+    /// Closes the undo trail, keeping every write.
+    pub(crate) fn commit_undo(&mut self) {
+        self.trail = None;
+    }
+
+    /// Reverts every write since [`begin_undo`](ChaseIndex::begin_undo),
+    /// newest first, leaving index, cells and NEC forest exactly as they
+    /// were.
+    pub(crate) fn rollback(&mut self, work: &mut Instance) {
+        let trail = self.trail.take().expect("rollback without an undo trail");
+        for step in trail.steps.into_iter().rev() {
+            match step {
+                Step::Cell(row, attr, old) => work.set_value(row, attr, old),
+                Step::Slot(f, row, old) => self.fds[f].slot[row.index()] = old,
+                Step::Pushed(f, id) => {
+                    self.fds[f].members[id as usize].pop();
+                }
+                Step::SwapRemoved(f, id, pos, row) => {
+                    let members = &mut self.fds[f].members[id as usize];
+                    members.push(row);
+                    let last = members.len() - 1;
+                    members.swap(pos, last);
+                }
+                Step::Extended(f, id, len) => self.fds[f].members[id as usize].truncate(len),
+                Step::Opened(f, id, reused) => {
+                    let b = &mut self.fds[f];
+                    b.ids.remove(&b.keys[id as usize]);
+                    b.wild.remove(&id);
+                    if reused {
+                        b.keys[id as usize] = Key::from([]);
+                        b.free.push(id);
+                    } else {
+                        b.keys.pop();
+                        b.members.pop();
                     }
+                }
+                Step::Closed(f, id, key, members) => {
+                    let b = &mut self.fds[f];
+                    assert_eq!(
+                        b.free.pop(),
+                        Some(id),
+                        "bucket ids are released last-in first-out"
+                    );
+                    b.ids.insert(key.clone(), id);
+                    b.keys[id as usize] = key;
+                    b.members[id as usize] = members;
+                    b.note_wild(id);
+                }
+                Step::Renamed(f, id, old) => {
+                    let b = &mut self.fds[f];
+                    b.ids.remove(&b.keys[id as usize]);
+                    b.ids.insert(old.clone(), id);
+                    b.keys[id as usize] = old;
+                    b.note_wild(id);
+                }
+                Step::OccPushed(root) => {
+                    let cells = self.occ.get_mut(&root).expect("class occurrences");
+                    cells.pop();
+                    if cells.is_empty() {
+                        self.occ.remove(&root);
+                    }
+                }
+                Step::OccSwapRemoved(root, pos, cell) => {
+                    let cells = self.occ.entry(root).or_default();
+                    cells.push(cell);
+                    let last = cells.len() - 1;
+                    cells.swap(pos, last);
+                }
+                Step::OccTaken(root, cells) => {
+                    self.occ.insert(root, cells);
+                }
+                Step::OccExtended(root, len) => {
+                    let cells = self.occ.get_mut(&root).expect("class occurrences");
+                    cells.truncate(len);
+                    if cells.is_empty() {
+                        self.occ.remove(&root);
+                    }
+                }
+                Step::Rows(rows) => self.rows = rows,
+            }
+        }
+        work.necs_mut().undo(trail.nec);
+    }
+
+    fn log(&mut self, step: impl FnOnce() -> Step) {
+        if let Some(trail) = &mut self.trail {
+            trail.steps.push(step());
+        }
+    }
+
+    // ---- logged primitives ------------------------------------------
+
+    fn set_cell(&mut self, work: &mut Instance, row: RowId, attr: AttrId, value: Value) {
+        let old = work.value(row, attr);
+        self.log(|| Step::Cell(row, attr, old));
+        work.set_value(row, attr, value);
+    }
+
+    fn set_rows(&mut self, rows: usize) {
+        let old = self.rows;
+        self.log(|| Step::Rows(old));
+        self.rows = rows;
+    }
+
+    fn set_slot(&mut self, f: usize, row: RowId, id: u32) {
+        let slot = &mut self.fds[f].slot;
+        if slot.len() <= row.index() {
+            slot.resize(row.index() + 1, UNFILED);
+        }
+        let old = std::mem::replace(&mut slot[row.index()], id);
+        self.log(|| Step::Slot(f, row, old));
+    }
+
+    /// Allocates an empty bucket under `key`.
+    fn open(&mut self, f: usize, key: &[u64]) -> u32 {
+        let key = Key::from(key);
+        let b = &mut self.fds[f];
+        let (id, reused) = match b.free.pop() {
+            Some(id) => {
+                b.keys[id as usize] = key.clone();
+                (id, true)
+            }
+            None => {
+                b.keys.push(key.clone());
+                b.members.push(Vec::new());
+                ((b.keys.len() - 1) as u32, false)
+            }
+        };
+        b.ids.insert(key, id);
+        b.note_wild(id);
+        self.log(|| Step::Opened(f, id, reused));
+        id
+    }
+
+    /// Releases bucket `id`, dropping its key and any remaining members.
+    fn close(&mut self, f: usize, id: u32) {
+        let b = &mut self.fds[f];
+        let key = std::mem::replace(&mut b.keys[id as usize], Key::from([]));
+        let members = std::mem::take(&mut b.members[id as usize]);
+        b.ids.remove(&key);
+        b.wild.remove(&id);
+        b.free.push(id);
+        self.log(|| Step::Closed(f, id, key, members));
+    }
+
+    fn rename(&mut self, f: usize, id: u32, key: &[u64]) {
+        let b = &mut self.fds[f];
+        let new = Key::from(key);
+        let old = std::mem::replace(&mut b.keys[id as usize], new.clone());
+        b.ids.remove(&old);
+        b.ids.insert(new, id);
+        b.note_wild(id);
+        self.log(|| Step::Renamed(f, id, old));
+    }
+
+    fn file(&mut self, f: usize, row: RowId, key: &[u64]) {
+        let id = match self.fds[f].ids.get(key) {
+            Some(&id) => id,
+            None => self.open(f, key),
+        };
+        self.fds[f].members[id as usize].push(row);
+        self.log(|| Step::Pushed(f, id));
+        self.set_slot(f, row, id);
+    }
+
+    fn unfile(&mut self, f: usize, row: RowId) {
+        let id = self.fds[f].bucket_of(row);
+        assert_ne!(id, UNFILED, "row {row} not filed");
+        let members = &mut self.fds[f].members[id as usize];
+        let pos = members.iter().position(|&r| r == row).expect("filed row");
+        members.swap_remove(pos);
+        let now_empty = members.is_empty();
+        self.log(|| Step::SwapRemoved(f, id, pos, row));
+        self.set_slot(f, row, UNFILED);
+        if now_empty {
+            self.close(f, id);
+        }
+    }
+
+    fn occ_push(&mut self, root: u32, cell: (RowId, u16)) {
+        self.occ.entry(root).or_default().push(cell);
+        self.log(|| Step::OccPushed(root));
+    }
+
+    fn occ_remove(&mut self, root: u32, cell: (RowId, u16)) {
+        let cells = self.occ.get_mut(&root).expect("class occurrences");
+        let pos = cells
+            .iter()
+            .position(|&c| c == cell)
+            .expect("filed occurrence");
+        cells.swap_remove(pos);
+        if cells.is_empty() {
+            self.occ.remove(&root);
+        }
+        self.log(|| Step::OccSwapRemoved(root, pos, cell));
+    }
+
+    fn occ_take(&mut self, root: u32) -> Vec<(RowId, u16)> {
+        let cells = self.occ.remove(&root).unwrap_or_default();
+        if self.trail.is_some() && !cells.is_empty() {
+            let copy = cells.clone();
+            self.log(|| Step::OccTaken(root, copy));
+        }
+        cells
+    }
+
+    fn occ_extend(&mut self, root: u32, cells: &[(RowId, u16)]) {
+        if cells.is_empty() {
+            return;
+        }
+        let list = self.occ.entry(root).or_default();
+        let len = list.len();
+        list.extend_from_slice(cells);
+        self.log(|| Step::OccExtended(root, len));
+    }
+
+    fn find(&mut self, work: &mut Instance, id: NullId) -> NullId {
+        match &mut self.trail {
+            Some(trail) => work.necs_mut().find_logged(id, &mut trail.nec),
+            None => work.necs_mut().find(id),
+        }
+    }
+
+    fn union(&mut self, work: &mut Instance, a: NullId, b: NullId) -> bool {
+        match &mut self.trail {
+            Some(trail) => work.necs_mut().union_logged(a, b, &mut trail.nec),
+            None => work.necs_mut().union(a, b),
+        }
+    }
+
+    // ---- the chase ----------------------------------------------------
+
+    /// The delta run: chases `work` — a plain-chase fixpoint except for
+    /// the cells of `seeds` — from the buckets of the seed rows only.
+    /// Every other bucket is clean (no rule applies there, and
+    /// whole-class rule applications keep it so), so the run fires
+    /// exactly the events, in exactly the order, of a whole-instance
+    /// [`chase_indexed`] and reaches its state. With `stop_on_conflict`
+    /// the run returns as soon as a bucket holds two distinct constants
+    /// in a dependent column (the state is then only fit for
+    /// [`rollback`](ChaseIndex::rollback)).
+    pub(crate) fn settle(
+        &mut self,
+        work: &mut Instance,
+        seeds: &[RowId],
+        stop_on_conflict: bool,
+    ) -> Settled {
+        let mut run = Run::new(self.fds.len(), false, true);
+        run.stop_on_conflict = stop_on_conflict;
+        for &row in seeds {
+            for (f, b) in self.fds.iter().enumerate() {
+                if b.chased() {
+                    run.dirty[f].insert(b.keys[b.bucket_of(row) as usize].clone());
                 }
             }
         }
-
-        // Per-FD determinant buckets and the dense per-slot key table:
-        // every shard covers a disjoint slot range, so its key segment
-        // writes into disjoint positions of the table.
-        let mut buckets = Vec::with_capacity(slots.len());
-        let mut row_keys = Vec::with_capacity(slots.len());
-        for slot in &slots {
-            let lhs = slot.fd.lhs;
-            let locals = exec.map(&shards, |_, &shard| {
-                let mut fd_buckets: HashMap<GroupKey, Vec<RowId>> = HashMap::new();
-                let mut keys: Vec<(RowId, GroupKey)> = Vec::new();
-                let mut key = GroupKey::new();
-                for (row, tuple) in work.iter_live_in(shard) {
-                    groupkey::key_into(&mut key, tuple, row, lhs, &snapshot);
-                    fd_buckets.entry(key.clone()).or_default().push(row);
-                    keys.push((row, key.clone()));
-                }
-                (fd_buckets, keys)
-            });
-            let mut merged: HashMap<GroupKey, Vec<RowId>> = HashMap::with_capacity(n);
-            let mut fd_keys: Vec<GroupKey> = vec![GroupKey::new(); bound];
-            for (local_buckets, keys) in locals {
-                for (key, mut rows) in local_buckets {
-                    match merged.entry(key) {
-                        Entry::Occupied(mut entry) => entry.get_mut().append(&mut rows),
-                        Entry::Vacant(entry) => {
-                            entry.insert(rows);
-                        }
-                    }
-                }
-                for (row, key) in keys {
-                    fd_keys[row.index()] = key;
-                }
-            }
-            buckets.push(merged);
-            row_keys.push(fd_keys);
+        self.run(work, &mut run, &Executor::with_threads(1));
+        let mut changed = std::mem::take(&mut run.substituted);
+        changed.sort_unstable();
+        changed.dedup();
+        Settled {
+            events: run.events,
+            changed,
+            conflict: run.conflict,
         }
+    }
 
-        Engine::assemble(work, slots, buckets, row_keys, occurrences, true)
+    /// The whole-instance run: every bucket seeded, as a cold chase
+    /// needs. Returns the events and the pass count.
+    pub(crate) fn settle_all(
+        &mut self,
+        work: &mut Instance,
+        exec: &Executor,
+        rec: &Recorder,
+    ) -> (Vec<NsEvent>, usize) {
+        let mut run = Run::new(self.fds.len(), exec.threads() > 1, false);
+        run.rec = rec.clone();
+        for (f, b) in self.fds.iter().enumerate() {
+            if b.chased() {
+                run.dirty[f].extend(b.ids.keys().cloned());
+            }
+        }
+        let passes = self.run(work, &mut run, exec);
+        (run.events, passes)
     }
 
     /// Runs passes to the fixpoint; returns the pass count (the final
     /// pass applies nothing, mirroring the naive engine's counter).
     ///
-    /// With a multi-thread executor, each (pass, FD) agenda is first
+    /// Each pass draws, per FD in set order, the dirty buckets with at
+    /// least two members and sweeps them by least member row. With a
+    /// multi-thread executor, each (pass, FD) agenda is first
     /// **classified in parallel** (read-only: is any rule applicable in
     /// this bucket?) and the sequential application loop then skips the
     /// clean buckets — unless a migration has since grown their
     /// membership (`touched`), the one way a clean verdict can go
     /// stale. Skipped sweeps are provably no-ops, so events, states,
     /// and pass counts are identical at every thread count.
-    fn run(&mut self, original: &Instance, exec: &Executor) -> usize {
-        let parallel = self.parallel && exec.threads() > 1;
+    fn run(&mut self, work: &mut Instance, run: &mut Run, exec: &Executor) -> usize {
+        let parallel = run.parallel && exec.threads() > 1;
+        let bound = 2 * work.slot_bound() * work.arity() + 2;
         let mut passes = 0;
         loop {
             passes += 1;
-            self.rec.incr(Counter::ChasePasses);
-            let before = self.events.len();
+            run.rec.incr(Counter::ChasePasses);
+            let before = run.events.len();
             for si in 0..self.fds.len() {
-                // Keys collected up front and re-checked on use: sweeps
+                if !self.fds[si].chased() {
+                    continue;
+                }
+                // Keys drawn up front and re-checked on use: sweeps
                 // migrate buckets of *other* FDs freely, and (with
                 // cross-column NEC classes) occasionally this one.
-                let min_row = |rows: &[RowId]| rows.iter().copied().min().expect("non-empty");
-                let mut agenda: Vec<(RowId, GroupKey)> = if passes == 1 {
-                    self.buckets[si]
-                        .iter()
-                        .filter(|(_, rows)| rows.len() > 1)
-                        .map(|(key, rows)| (min_row(rows), key.clone()))
-                        .collect()
-                } else {
-                    std::mem::take(&mut self.dirty[si])
-                        .into_iter()
-                        .filter_map(|key| {
-                            let rows = self.buckets[si].get(&key)?;
-                            (rows.len() > 1).then(|| (min_row(rows), key))
-                        })
-                        .collect()
-                };
-                if passes == 1 {
-                    self.dirty[si].clear();
-                }
+                let drawn = std::mem::take(&mut run.dirty[si]);
+                let b = &self.fds[si];
+                let mut agenda: Vec<(RowId, Key)> = drawn
+                    .iter()
+                    .filter_map(|key| {
+                        let rows = &b.members[*b.ids.get(key)? as usize];
+                        (rows.len() > 1)
+                            .then(|| (*rows.iter().min().expect("non-empty"), key.clone()))
+                    })
+                    .collect();
                 agenda.sort_unstable();
-                self.rec
-                    .add(Counter::ChaseBucketSweeps, agenda.len() as u64);
-                self.rec
+                run.rec.add(Counter::ChaseBucketSweeps, agenda.len() as u64);
+                run.rec
                     .gauge_max(Gauge::ChaseWorklistPeak, agenda.len() as u64);
+                if passes == 1 && run.delta {
+                    run.admission = Some(Admission {
+                        fd: si,
+                        considered: drawn,
+                        cursor: None,
+                        admitted: BTreeSet::new(),
+                    });
+                }
                 let clean: Vec<bool> = if parallel && agenda.len() > 1 {
-                    let snapshot = self.work.necs().canonical_snapshot();
-                    let work = &self.work;
-                    let buckets = &self.buckets[si];
-                    let rhs = self.fds[si].fd.rhs;
-                    exec.map(&agenda, |_, (_, key)| match buckets.get(key) {
-                        Some(rows) => bucket_clean(work, &snapshot, rows, rhs),
+                    let snapshot = work.necs().canonical_snapshot();
+                    let work = &*work;
+                    let rhs = b.fd.rhs;
+                    exec.map(&agenda, |_, (_, key)| match b.ids.get(key) {
+                        Some(&id) => bucket_clean(work, &snapshot, &b.members[id as usize], rhs),
                         None => true, // unreachable: nothing ran since the draw
                     })
                 } else {
@@ -602,22 +1270,41 @@ impl Engine {
                 // Clean verdicts hold from here on unless a migration
                 // grows a bucket — start tracking those now.
                 if parallel {
-                    self.touched[si].clear();
+                    run.touched[si].clear();
                 }
-                for (idx, (_, key)) in agenda.iter().enumerate() {
-                    if clean[idx] && !self.touched[si].contains(key) {
+                let mut next = 0;
+                loop {
+                    let admitted = run
+                        .admission
+                        .as_ref()
+                        .and_then(|ad| ad.admitted.first().cloned());
+                    let (entry, skippable) = match (agenda.get(next), admitted) {
+                        (Some(drawn), Some(admitted)) if admitted < *drawn => (admitted, false),
+                        (Some(drawn), _) => {
+                            next += 1;
+                            (drawn.clone(), clean[next - 1])
+                        }
+                        (None, Some(admitted)) => (admitted, false),
+                        (None, None) => break,
+                    };
+                    if let Some(ad) = run.admission.as_mut() {
+                        ad.admitted.remove(&entry);
+                        ad.cursor = Some(entry.clone());
+                    }
+                    if skippable && !run.touched[si].contains(&entry.1) {
                         continue; // provably a no-op sweep
                     }
-                    self.sweep_bucket(si, key);
+                    self.sweep(work, run, si, &entry.1);
+                    if run.stop_on_conflict && run.conflict {
+                        return passes;
+                    }
                 }
+                run.admission = None;
             }
-            if self.events.len() == before {
+            if run.events.len() == before {
                 break;
             }
-            assert!(
-                passes <= original.null_count() + original.len() * original.arity() + 2,
-                "indexed chase failed to terminate"
-            );
+            assert!(passes <= bound, "indexed chase failed to terminate");
         }
         passes
     }
@@ -625,26 +1312,31 @@ impl Engine {
     /// Applies every applicable NS-rule within one bucket: for each
     /// dependent attribute, an ascending sweep merging nulls into the
     /// running class and promoting on the first constant — the same
-    /// events the naive pair scan fires at this bucket's sites.
-    fn sweep_bucket(&mut self, si: usize, key: &GroupKey) {
-        let Some(mut rows) = self.buckets[si].get(key).cloned() else {
+    /// events the naive pair scan fires at this bucket's sites. A later
+    /// constant unequal to the first is where the plain system is stuck
+    /// (the extended system's `nothing`): the sweep flags the conflict.
+    fn sweep(&mut self, work: &mut Instance, run: &mut Run, si: usize, key: &Key) {
+        let b = &self.fds[si];
+        let Some(&id) = b.ids.get(key) else {
             return; // migrated away since the agenda was drawn
         };
+        let mut rows = b.members[id as usize].clone();
         rows.sort_unstable();
-        let (fd, original_index) = (self.fds[si].fd, self.fds[si].original_index);
-        for attr in fd.rhs.iter() {
-            let mut anchor_const: Option<RowId> = None;
+        let rhs = b.fd.rhs;
+        for attr in rhs.iter() {
+            let mut anchor: Option<(RowId, Symbol)> = None;
             let mut pending_null: Option<(RowId, NullId)> = None;
             for &row in &rows {
-                match self.work.value(row, attr) {
+                match work.value(row, attr) {
                     Value::Nothing => {}
-                    Value::Const(value) => {
-                        if anchor_const.is_none() {
-                            anchor_const = Some(row);
+                    Value::Const(value) => match anchor {
+                        Some((_, first)) => run.conflict |= value != first,
+                        None => {
+                            anchor = Some((row, value));
                             if let Some((null_row, class)) = pending_null.take() {
-                                self.substitute(class, value);
-                                self.push_event(
-                                    original_index,
+                                self.chase_substitute(work, run, class, value);
+                                run.push_event(
+                                    si,
                                     null_row,
                                     row,
                                     attr,
@@ -654,31 +1346,25 @@ impl Engine {
                                 // constant and precedes this row, so it is
                                 // the site the naive pair scan pairs later
                                 // nulls against.
-                                anchor_const = Some(null_row);
+                                anchor = Some((null_row, value));
                             }
                         }
-                        // A second, distinct constant is where the plain
-                        // system is stuck (the extended system's case).
-                    }
+                    },
                     Value::Null(id) => {
-                        if let Some(const_row) = anchor_const {
-                            let value = match self.work.value(const_row, attr) {
-                                Value::Const(c) => c,
-                                _ => unreachable!("anchor row holds a constant"),
-                            };
-                            self.substitute(id, value);
-                            self.push_event(
-                                original_index,
+                        if let Some((const_row, value)) = anchor {
+                            self.chase_substitute(work, run, id, value);
+                            run.push_event(
+                                si,
                                 const_row,
                                 row,
                                 attr,
                                 NsEventKind::Substituted { class: id, value },
                             );
                         } else if let Some((null_row, prior)) = pending_null {
-                            if !self.work.necs().same_class(prior, id) {
-                                self.merge(prior, id);
-                                self.push_event(
-                                    original_index,
+                            if !work.necs().same_class(prior, id) {
+                                self.chase_merge(work, run, prior, id);
+                                run.push_event(
+                                    si,
                                     null_row,
                                     row,
                                     attr,
@@ -694,116 +1380,108 @@ impl Engine {
         }
     }
 
-    fn push_event(
-        &mut self,
-        fd_index: usize,
-        row_a: RowId,
-        row_b: RowId,
-        attr: AttrId,
-        kind: NsEventKind,
-    ) {
-        self.events.push(NsEvent {
-            fd_index,
-            rows: (row_a.min(row_b), row_a.max(row_b)),
-            attr,
-            kind,
-        });
-    }
-
     /// Rule (a): substitutes every occurrence of `id`'s class with
     /// `value`, then migrates the buckets whose keys mentioned the class.
-    fn substitute(&mut self, id: NullId, value: Symbol) {
-        self.rec.incr(Counter::ChaseSubstitutions);
-        let root = self.work.necs_mut().find(id);
-        let occs = self.occurrences.remove(&root.0).unwrap_or_default();
-        for &(row, col) in &occs {
-            debug_assert!(matches!(self.work.value(row, AttrId(col)), Value::Null(_)));
-            self.work.set_value(row, AttrId(col), Value::Const(value));
-        }
-        self.migrate(&occs);
+    fn chase_substitute(&mut self, work: &mut Instance, run: &mut Run, id: NullId, value: Symbol) {
+        run.rec.incr(Counter::ChaseSubstitutions);
+        let root = self.find(work, id);
+        let cells = self.substitute_class(work, root, value, Some(run));
+        run.substituted.extend(cells.iter().map(|&(row, _)| row));
     }
 
-    /// Rule (b): introduces the NEC `a := b`, concatenates the loser
-    /// class's occurrence list onto the winner's, and migrates buckets
-    /// keyed by the loser class.
-    fn merge(&mut self, a: NullId, b: NullId) {
-        self.rec.incr(Counter::ChaseUnions);
-        let root_a = self.work.necs_mut().find(a);
-        let root_b = self.work.necs_mut().find(b);
+    /// Rule (b): introduces the NEC `a := b`, migrates the buckets keyed
+    /// by the loser class, and concatenates its occurrence list onto the
+    /// winner's.
+    fn chase_merge(&mut self, work: &mut Instance, run: &mut Run, a: NullId, b: NullId) {
+        run.rec.incr(Counter::ChaseUnions);
+        let root_a = self.find(work, a);
+        let root_b = self.find(work, b);
         debug_assert_ne!(root_a, root_b);
-        self.work.add_nec(a, b);
-        let winner = self.work.necs_mut().find(a);
+        self.union(work, a, b);
+        let winner = self.find(work, a);
         let loser = if winner == root_a { root_b } else { root_a };
-        let moved = self.occurrences.remove(&loser.0).unwrap_or_default();
-        self.migrate(&moved);
-        self.occurrences
-            .entry(winner.0)
-            .or_default()
-            .extend_from_slice(&moved);
+        let moved = self.occ_take(loser.0);
+        self.migrate(work, &moved, Some(run));
+        self.occ_extend(winner.0, &moved);
     }
 
     /// Re-files the buckets referencing a class whose canonical atom
     /// just changed. Every member of such a bucket shares the key, so
-    /// whole buckets move: a pure re-name keeps its sweep status, while
-    /// a merge with an existing bucket re-enters the worklist (new
-    /// members mean possible new rule sites).
-    fn migrate(&mut self, occs: &[(RowId, u16)]) {
-        let mut affected: HashSet<(usize, RowId)> = HashSet::new();
+    /// whole buckets move: a pure re-name keeps its members, while a
+    /// merge with an existing bucket grows it. Inside a run, every
+    /// re-keyed bucket re-enters the worklist — not only merged ones. A
+    /// pure rename can strand a *pending* sweep: the running pass's
+    /// agenda holds the old key, so the sweep would silently vanish (a
+    /// cross-column NEC class renaming a not-yet-swept bucket of the
+    /// very FD being processed). Re-enqueueing renames costs at most one
+    /// no-op sweep next pass; dropping one loses the fixpoint.
+    fn migrate(&mut self, work: &Instance, occs: &[(RowId, u16)], mut run: Option<&mut Run>) {
+        let mut affected: Vec<(usize, u32)> = Vec::new();
         for &(row, col) in occs {
-            for &si in &self.lhs_slots[col as usize] {
-                affected.insert((si, row));
+            for &f in &self.lhs_fds[col as usize] {
+                affected.push((f, self.fds[f].bucket_of(row)));
             }
         }
-        let mut touched: Vec<(usize, GroupKey)> = Vec::new();
-        let mut seen: HashSet<(usize, GroupKey)> = HashSet::new();
-        for (si, row) in affected {
-            let key = self.row_keys[si][row.index()].clone();
-            if seen.insert((si, key.clone())) {
-                touched.push((si, key));
+        affected.sort_unstable();
+        affected.dedup();
+        let mut key = GroupKey::new();
+        for (f, id) in affected {
+            let b = &self.fds[f];
+            let sample = b.members[id as usize][0];
+            live_key_into(&mut key, work, work.tuple(sample), sample, b.fd.lhs);
+            let old = b.keys[id as usize].clone();
+            let chased = b.chased();
+            if let Some(run) = run.as_deref_mut().filter(|_| chased) {
+                run.dirty[f].remove(&old);
             }
-        }
-        for (si, old_key) in touched {
-            let Some(rows) = self.buckets[si].remove(&old_key) else {
-                continue; // already migrated via another occurrence
+            let target = match b.ids.get(key.as_slice()).copied() {
+                Some(target) => {
+                    if let Some(run) = run.as_deref_mut() {
+                        run.note_grown(f, &b.keys[target as usize], &b.members[target as usize]);
+                    }
+                    let rows = self.fds[f].members[id as usize].clone();
+                    for &row in &rows {
+                        self.set_slot(f, row, target);
+                    }
+                    let len = self.fds[f].members[target as usize].len();
+                    self.fds[f].members[target as usize].extend_from_slice(&rows);
+                    self.log(|| Step::Extended(f, target, len));
+                    self.close(f, id);
+                    target
+                }
+                None => {
+                    self.rename(f, id, &key);
+                    if let Some(run) = run.as_deref_mut() {
+                        run.note_created(f, &self.fds[f].keys[id as usize]);
+                    }
+                    id
+                }
             };
-            let lhs = self.fds[si].fd.lhs;
-            let sample = rows[0];
-            let mut new_key = GroupKey::with_capacity(lhs.len());
-            for a in lhs.iter() {
-                let work = &self.work;
-                new_key.push(groupkey::atom_with(work.value(sample, a), sample, |n| {
-                    work.necs().find_readonly(n)
-                }));
-            }
-            for &row in &rows {
-                self.row_keys[si][row.index()] = new_key.clone();
-            }
-            self.dirty[si].remove(&old_key);
-            match self.buckets[si].entry(new_key.clone()) {
-                Entry::Occupied(mut entry) => {
-                    entry.get_mut().extend_from_slice(&rows);
+            if let Some(run) = run.as_deref_mut().filter(|_| chased) {
+                let key = self.fds[f].keys[target as usize].clone();
+                if run.parallel {
+                    run.touched[f].insert(key.clone());
                 }
-                Entry::Vacant(entry) => {
-                    entry.insert(rows);
-                }
+                run.dirty[f].insert(key);
             }
-            // Every re-keyed bucket re-enters the worklist — not only
-            // merged ones. A pure rename can strand a *pending* sweep:
-            // the running pass's agenda holds the old key, so the sweep
-            // would silently vanish (a cross-column NEC class renaming
-            // a not-yet-swept bucket of the very FD being processed).
-            // Re-enqueueing renames costs at most one no-op sweep next
-            // pass in the common case; dropping one loses the fixpoint.
-            // The migration target also voids any same-pass clean
-            // verdict for that key (the parallel run path's `touched` —
-            // the sequential path sweeps everything, so it skips the
-            // bookkeeping).
-            if self.parallel {
-                self.touched[si].insert(new_key.clone());
-            }
-            self.dirty[si].insert(new_key);
         }
     }
+}
+
+/// A bucket key with null-class atoms named by their class's least
+/// occurrence cell (`true`) instead of a null id.
+type CanonKey = Vec<(bool, u64)>;
+
+/// One FD's buckets in canonical form: sorted `(key, sorted rows)`.
+type CanonBuckets = Vec<(CanonKey, Vec<RowId>)>;
+
+/// [`ChaseIndex::same_buckets`]' canonical form.
+#[derive(PartialEq)]
+struct Canon {
+    fds: Vec<(Fd, CanonBuckets)>,
+    occ: Vec<Vec<(RowId, u16)>>,
+    rows: usize,
+    consistent: bool,
 }
 
 #[cfg(test)]

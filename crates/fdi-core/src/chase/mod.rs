@@ -36,7 +36,10 @@
 //!   its occurrences, not an `O(n·p)` instance sweep;
 //! * a bucket re-enters the worklist only when its membership changes
 //!   (an NEC merge collapses buckets rather than triggering a rescan),
-//!   so passes after the first touch only what moved.
+//!   so passes after the first touch only what moved;
+//! * the index persists: a [`crate::update::Database`] keeps one
+//!   [`index::ChaseIndex`] across updates and chases from the touched
+//!   rows' buckets only, reproducing the whole-instance run exactly.
 //!
 //! Rows are addressed by stable [`RowId`](fdi_relation::rowid::RowId)
 //! slot handles throughout — bucket member lists, occurrence lists, and

@@ -43,6 +43,13 @@ pub fn atom_with(value: Value, row: RowId, root_of: impl FnOnce(NullId) -> NullI
     }
 }
 
+/// The NEC class representative a packed atom names, if it is a null
+/// class atom (not a constant, `nothing`, or solitary atom).
+#[inline]
+pub fn atom_class(atom: u64) -> Option<NullId> {
+    (atom >> 32 == TAG_CLASS >> 32).then_some(NullId(atom as u32))
+}
+
 /// Packs one value using a fully-compressed NEC snapshot.
 #[inline]
 pub fn atom(value: Value, row: RowId, snapshot: &NecSnapshot) -> u64 {
@@ -67,35 +74,18 @@ pub fn atom_solitary(
     }
 }
 
-/// Writes the canonical key of `tuple[attrs]` into `key` (cleared
-/// first). Reusing one buffer across rows avoids per-row allocation in
-/// the grouping hot loops.
-#[inline]
-pub fn key_into(
-    key: &mut GroupKey,
-    tuple: &Tuple,
-    row: RowId,
-    attrs: AttrSet,
-    snapshot: &NecSnapshot,
-) {
-    key.clear();
-    for a in attrs.iter() {
-        key.push(atom(tuple.get(a), row, snapshot));
-    }
-}
-
 /// Writes the **constant-only** key of `tuple[attrs]` into `key`
 /// (cleared first) and returns `true`, or returns `false` when some
 /// attribute of the projection is not a constant (leaving `key` in an
 /// unspecified partial state).
 ///
-/// This is the currency of the determinant index on [`Database`]
-/// updates ([`crate::update::LhsIndex`]): under the strong convention a
-/// null on a determinant potentially matches *everything*, so only
-/// constant-total projections are groupable — null-bearing rows go to
-/// the per-FD wild list instead. Constant atoms here coincide with the
-/// NEC-canonical atoms of [`key_into`], so the two indexes agree on
-/// what "the same constant determinant" means.
+/// This is the probe of the strong-convention insert check on
+/// [`Database`] updates (the candidates of a [`crate::update::ChaseIndex`]):
+/// under the strong convention a null on a determinant potentially
+/// matches *everything*, so only a constant-total probe has an exact
+/// bucket. Constant atoms here coincide with the NEC-canonical atoms of
+/// [`key_of`], so the probe finds the bucket the index filed the
+/// matching rows under.
 ///
 /// [`Database`]: crate::update::Database
 #[inline]
@@ -110,11 +100,12 @@ pub fn const_key_into(key: &mut GroupKey, tuple: &Tuple, attrs: AttrSet) -> bool
     true
 }
 
-/// The canonical key of `tuple[attrs]` as a fresh vector.
+/// The canonical key of `tuple[attrs]`.
 pub fn key_of(tuple: &Tuple, row: RowId, attrs: AttrSet, snapshot: &NecSnapshot) -> GroupKey {
-    let mut key = Vec::with_capacity(attrs.len());
-    key_into(&mut key, tuple, row, attrs, snapshot);
-    key
+    attrs
+        .iter()
+        .map(|a| atom(tuple.get(a), row, snapshot))
+        .collect()
 }
 
 /// Partitions the live rows of `instance` into agreement classes on

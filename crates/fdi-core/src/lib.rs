@@ -51,7 +51,7 @@
 //! (`Instance::row_id_shards`): [`testfd::check_par`],
 //! [`query::select_par`], [`chase::chase_plain_par`],
 //! [`chase::extended_chase_par`], [`groupkey::group_rows_par`], and
-//! [`update::LhsIndex::build_par`] (the [`update::Database`] cold
+//! [`update::ChaseIndex::build_par`] (the [`update::Database`] cold
 //! build). Each one is **bit-identical to its sequential oracle at
 //! every thread count** — shard results merge in shard order, rule
 //! application stays sequential where order is semantics — so

@@ -20,43 +20,69 @@
 //! * **internal acquisition**: after an accepted update, the NS-rules
 //!   fire ([`Policy::propagate`]) so the instance stays minimally
 //!   incomplete — the non-ambiguous substitutions of §6;
-//! * an [`LhsIndex`] (hash index on each FD's determinant) makes the
-//!   strong-convention insert check `O(|F| · group)` instead of
-//!   `O(|F| · n)`; tuples carrying nulls on a determinant live on a
-//!   *wild list*, since under the pessimistic convention they
-//!   potentially match everything. Experiment E19 measures the gap.
+//! * one persistent [`ChaseIndex`] per database — per FD, rows
+//!   hash-partitioned by the NEC-canonical key of their determinant,
+//!   plus each null class's occurrence list — serves both: its buckets
+//!   are the NS-rules' trigger groups, and the strong-convention insert
+//!   check reads its candidates from the probe's exact bucket plus the
+//!   buckets keyed by a null class (a null potentially matches
+//!   everything), `O(|F| · group)` instead of `O(|F| · n)`. Experiment
+//!   E19 measures the gap.
 //!
 //! ## Incremental maintenance
 //!
-//! Updates are the paper's primary workload for FD maintenance under
-//! nulls, so every mutation path is **incremental end-to-end**: the
-//! [`LhsIndex`] is maintained by delta operations
-//! ([`LhsIndex::insert_row`], [`LhsIndex::remove_row`],
-//! [`LhsIndex::rekey_row`]) that re-bucket only the touched rows —
-//! never rebuilt from scratch — and no mutation clones the instance
-//! (rejected updates are rolled back cell-by-cell instead). Rows are
-//! addressed by stable [`RowId`] slot handles throughout, so a delete
-//! is a tombstone plus one unfiling — **no survivor is renumbered**,
-//! in the instance or in the index ([`Database::delete`] is
-//! `O(|F| · bucket)` total). Internal acquisition runs the **indexed
-//! worklist chase** ([`chase::chase_plain`]) and then delta-rekeys
-//! exactly the rows the chase substituted into; full revalidations go
-//! through the size-dispatched TEST-FDs ([`crate::testfd::check`]).
-//! `bench_update` records the maintenance gap against per-update
-//! `LhsIndex::build` rebuilds in `BENCH_update.json`, and the property
-//! suite (`tests/update_equiv.rs`) proves the delta-maintained index
-//! bucket-identical to a fresh build after arbitrary update sequences.
+//! Rows are addressed by stable [`RowId`] slot handles throughout, and
+//! the index is maintained by deltas: an insert files one row, a delete
+//! unfiles one (a tombstone, **no survivor is renumbered** —
+//! [`Database::delete`] is `O(|F| · bucket)` and never chases), a
+//! modify re-files one, a resolve walks its class's occurrence list,
+//! and [`Database::compact`] densifies the slot arena and remaps the
+//! index in `O(moved)`. No mutation clones the instance.
+//!
+//! **The fixpoint invariant.** With [`Policy::propagate`] on, the
+//! instance is a plain-chase fixpoint after every accepted update (and
+//! after [`Database::new`]): no NS-rule applies in any bucket. An
+//! update changes the cells of a few rows, so only the buckets holding
+//! those rows can have become applicable — every other bucket is clean,
+//! and whole-class rule applications keep it clean. Internal
+//! acquisition therefore runs the chase on the database's own index
+//! from the touched rows' buckets only, and reproduces the events (in
+//! order) and the final state of [`chase::chase_plain`] on the whole
+//! instance; a bucket that grows mid-pass is admitted to the pass, as
+//! a whole-instance pass would sweep it.
+//!
+//! **Weak enforcement ⇔ no `nothing`.** A weakly satisfiable fixpoint
+//! has homogeneous buckets: each dependent column holds at most one
+//! constant. By Theorem 4 the extended chase of the updated instance
+//! derives `nothing` exactly when the update writes a `nothing` or the
+//! delta run leaves two distinct constants in a dependent column of a
+//! touched bucket (the plain rules' steps are congruence steps, and a
+//! fixpoint with homogeneous buckets is itself a congruence with one
+//! constant per class). So under [`Enforcement::Weak`] with propagation
+//! the delta run *is* the acceptance test. A rejected update is rolled
+//! back from an undo trail — cells, NEC rewrites, index steps — so the
+//! instance is byte-identical to one that never saw it.
+//!
+//! **Whole-instance paths.** Cold builds stay `O(n·|F|)`:
+//! [`Database::new`] and [`Database::resume`] build the index on the
+//! ambient executor, and [`chase::chase_plain`] is the same run seeded
+//! with every bucket. Weak enforcement *without* propagation has no
+//! fixpoint to lean on, so it decides each update with
+//! [`chase::weakly_satisfiable_via_chase`] on the whole instance; strong
+//! enforcement of modifies and resolves revalidates with the
+//! size-dispatched TEST-FDs ([`crate::testfd::check`]). The property
+//! suite `tests/delta_equiv.rs` holds the delta path to the
+//! whole-instance oracle (verdicts, outcomes, encoded state, index),
+//! `tests/update_equiv.rs` the index to a fresh build, and
+//! `bench_update` records both policies in `BENCH_update.json`.
 //!
 //! A *rejected* update leaves no tuple behind and changes no cell —
 //! a rejected insert's slot is released outright (the arena truncates
 //! its trailing slot), so the next insert re-occupies the same
-//! [`RowId`] and the instance is byte-identical to one that never saw
-//! the rejected update. Token parsing may still intern symbols,
-//! register null marks, or advance the null-id allocator — all
-//! invisible to the relational semantics (ids are never reused,
-//! unreferenced symbols are inert). Long churn leaves interior
-//! tombstones in the slot arena; [`Database::compact`] densifies them
-//! and remaps the index in `O(moved)` instead of rebuilding it.
+//! [`RowId`]. Token parsing may still intern symbols, register null
+//! marks, or advance the null-id allocator — all invisible to the
+//! relational semantics (ids are never reused, unreferenced symbols
+//! are inert).
 //!
 //! # Example — §7's programme end to end
 //!
@@ -86,17 +112,16 @@
 //! ```
 
 use crate::chase;
+pub use crate::chase::index::{ChaseIndex, PAR_BUILD_SMALL_N};
 use crate::fd::FdSet;
-use crate::groupkey::{self, GroupKey};
 use crate::semantics::{self, Semantics, SemanticsKind};
 use crate::testfd::{self, Violation};
-use fdi_relation::attrs::{AttrId, AttrSet};
+use fdi_relation::attrs::AttrId;
 use fdi_relation::error::RelationError;
 use fdi_relation::instance::Instance;
 use fdi_relation::rowid::RowId;
 use fdi_relation::tuple::Tuple;
 use fdi_relation::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 
 /// What a maintained database enforces on every modification.
@@ -203,383 +228,13 @@ pub struct UpdateOutcome {
     pub nec_merges: usize,
 }
 
-/// Below this row count [`LhsIndex::build_par`] builds sequentially
-/// regardless of the executor: a cold build of a few thousand rows is
-/// microseconds of hashing, and OS thread spawn/join would cost more
-/// than it saves. (Thread-count *determinism* is unaffected — the two
-/// paths produce identical indexes; the property suite drives
-/// `build_par` across thread counts directly.)
-pub const PAR_BUILD_SMALL_N: usize = 4096;
-
-/// Hash index on each FD's determinant: constant-only left-hand
-/// projections map to row lists; rows with a null (or `nothing`) on the
-/// determinant go to the per-FD wild list.
-///
-/// Keys are the packed constant atoms of [`crate::groupkey`]
-/// ([`groupkey::const_key_into`]) — the same currency as the indexed
-/// chase — and rows are held as stable [`RowId`]s with per-row filing
-/// records (the key each row is bucketed under), which make the index
-/// **incrementally maintainable**:
-/// [`insert_row`](LhsIndex::insert_row) files one row,
-/// [`remove_row`](LhsIndex::remove_row) unfiles one row *and stops* —
-/// row ids are slot handles, so nothing shifts and no other entry is
-/// touched — and [`rekey_row`](LhsIndex::rekey_row) re-buckets one row
-/// after its cells changed. Every delta therefore costs
-/// `O(|F| · bucket)` instead of the `O(n·|F|)` hash-and-allocate of a
-/// [`build`](LhsIndex::build) from scratch, deletes included. After an
-/// [`Instance::compact`], [`remap`](LhsIndex::remap) rewrites the
-/// stored ids in `O(moved)`.
-#[derive(Debug, Clone, Default)]
-pub struct LhsIndex {
-    /// Normalized determinant of each FD, fixed at build time.
-    lhs: Vec<AttrSet>,
-    /// Per FD: packed constant-determinant key → member rows.
-    groups: Vec<HashMap<GroupKey, Vec<RowId>>>,
-    /// Per FD: rows with a non-constant value on the determinant.
-    wild: Vec<Vec<RowId>>,
-    /// Per FD, per filed row: the group key the row is bucketed under
-    /// (`None` = wild list) — the record that makes unfiling a direct
-    /// lookup instead of key recomputation against possibly
-    /// already-changed cells.
-    filed: Vec<HashMap<RowId, Option<GroupKey>>>,
-    rows: usize,
-}
-
-impl LhsIndex {
-    /// Builds the index for `instance` under `fds`.
-    pub fn build(instance: &Instance, fds: &FdSet) -> LhsIndex {
-        let mut index = LhsIndex {
-            lhs: fds.iter().map(|fd| fd.normalized().lhs).collect(),
-            groups: vec![HashMap::new(); fds.len()],
-            wild: vec![Vec::new(); fds.len()],
-            filed: vec![HashMap::new(); fds.len()],
-            rows: 0,
-        };
-        for row in instance.row_ids() {
-            index.insert_row(instance, row);
-        }
-        index
-    }
-
-    /// [`build`](LhsIndex::build) with the grouping pass sharded over
-    /// [`RowId`] ranges on an `fdi-exec` executor — the cold-build path
-    /// of [`Database::new`]. Each shard files its live rows into a
-    /// shard-local index; the locals are folded **in shard order**, so
-    /// every bucket, wild list, and filing record comes out exactly as
-    /// the sequential ascending-row build produces it
-    /// ([`same_buckets`](LhsIndex::same_buckets)-identical and
-    /// list-order identical at every thread count). A 1-thread executor
-    /// — or an instance below [`PAR_BUILD_SMALL_N`] rows, where thread
-    /// spawn/join would dwarf the build itself — takes the sequential
-    /// path outright.
-    pub fn build_par(instance: &Instance, fds: &FdSet, exec: &fdi_exec::Executor) -> LhsIndex {
-        if exec.threads() == 1 || instance.len() < PAR_BUILD_SMALL_N {
-            return LhsIndex::build(instance, fds);
-        }
-        let lhs: Vec<AttrSet> = fds.iter().map(|fd| fd.normalized().lhs).collect();
-        let empty = |lhs: &[AttrSet]| LhsIndex {
-            lhs: lhs.to_vec(),
-            groups: vec![HashMap::new(); lhs.len()],
-            wild: vec![Vec::new(); lhs.len()],
-            filed: vec![HashMap::new(); lhs.len()],
-            rows: 0,
-        };
-        let shards = instance.row_id_shards(exec.threads() * 2);
-        let locals = exec.map(&shards, |_, &shard| {
-            let mut local = empty(&lhs);
-            for (row, _) in instance.iter_live_in(shard) {
-                local.insert_row(instance, row);
-            }
-            local
-        });
-        let mut index = empty(&lhs);
-        for local in locals {
-            for (i, groups) in local.groups.into_iter().enumerate() {
-                for (key, mut rows) in groups {
-                    match index.groups[i].entry(key) {
-                        std::collections::hash_map::Entry::Occupied(mut entry) => {
-                            entry.get_mut().append(&mut rows)
-                        }
-                        std::collections::hash_map::Entry::Vacant(entry) => {
-                            entry.insert(rows);
-                        }
-                    }
-                }
-            }
-            for (i, mut wild) in local.wild.into_iter().enumerate() {
-                index.wild[i].append(&mut wild);
-            }
-            for (i, filed) in local.filed.into_iter().enumerate() {
-                index.filed[i].extend(filed);
-            }
-            index.rows += local.rows;
-        }
-        index
-    }
-
-    /// Number of rows the index currently covers.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Delta insert: files the live row `row` of `instance`.
-    ///
-    /// # Panics
-    /// Panics when `row` is already filed.
-    pub fn insert_row(&mut self, instance: &Instance, row: RowId) {
-        let tuple = instance.tuple(row);
-        let mut key = GroupKey::new();
-        for i in 0..self.lhs.len() {
-            let record = if groupkey::const_key_into(&mut key, tuple, self.lhs[i]) {
-                Self::file(&mut self.groups[i], &key, row);
-                Some(key.clone())
-            } else {
-                self.wild[i].push(row);
-                None
-            };
-            let prior = self.filed[i].insert(row, record);
-            assert!(prior.is_none(), "insert_row: row {row} already filed");
-        }
-        self.rows += 1;
-    }
-
-    /// Delta insert of a whole batch: files every row of `rows`, in
-    /// order, with the per-FD group-key computation sharded over the
-    /// executor — [`build_par`](LhsIndex::build_par)'s machinery
-    /// applied to a delta instead of a cold build. Key computation is
-    /// read-only and embarrassingly parallel; the filing itself stays
-    /// sequential in the given order, so the resulting index is
-    /// *identical* (bucket order included) to looping
-    /// [`insert_row`](LhsIndex::insert_row) — at every thread count. A
-    /// 1-thread executor or a batch below [`PAR_BUILD_SMALL_N`] rows
-    /// takes the sequential loop outright.
-    ///
-    /// # Panics
-    /// Panics when any row is already filed.
-    pub fn insert_rows_par(
-        &mut self,
-        instance: &Instance,
-        rows: &[RowId],
-        exec: &fdi_exec::Executor,
-    ) {
-        if exec.threads() == 1 || rows.len() < PAR_BUILD_SMALL_N {
-            for &row in rows {
-                self.insert_row(instance, row);
-            }
-            return;
-        }
-        let lhs = self.lhs.clone();
-        let keys = exec.map(rows, |_, &row| {
-            let tuple = instance.tuple(row);
-            let mut key = GroupKey::new();
-            lhs.iter()
-                .map(|&l| groupkey::const_key_into(&mut key, tuple, l).then(|| key.clone()))
-                .collect::<Vec<Option<GroupKey>>>()
-        });
-        for (&row, records) in rows.iter().zip(keys) {
-            for (i, record) in records.into_iter().enumerate() {
-                match &record {
-                    Some(key) => Self::file(&mut self.groups[i], key, row),
-                    None => self.wild[i].push(row),
-                }
-                let prior = self.filed[i].insert(row, record);
-                assert!(prior.is_none(), "insert_rows_par: row {row} already filed");
-            }
-            self.rows += 1;
-        }
-    }
-
-    /// Appends `row` to the bucket at `key`, with a borrowed probe
-    /// first so only novel keys pay for an owned allocation.
-    fn file(groups: &mut HashMap<GroupKey, Vec<RowId>>, key: &[u64], row: RowId) {
-        match groups.get_mut(key) {
-            Some(bucket) => bucket.push(row),
-            None => {
-                groups.insert(key.to_vec(), vec![row]);
-            }
-        }
-    }
-
-    /// Delta delete: unfiles `row` and stops — `O(|F| · bucket)`.
-    /// Row ids are stable slot handles, so no other entry changes: no
-    /// shift pass, no key recomputation, no rehash.
-    ///
-    /// # Panics
-    /// Panics when `row` is not filed or the index is inconsistent with
-    /// its filing records.
-    pub fn remove_row(&mut self, row: RowId) {
-        for i in 0..self.lhs.len() {
-            self.unfile(i, row);
-        }
-        self.rows -= 1;
-    }
-
-    /// Delta re-key: re-buckets `row` after some of its cells changed
-    /// (a modify, a null resolution, or a chase substitution). Rows
-    /// whose determinant key is unchanged are left untouched.
-    ///
-    /// # Panics
-    /// Panics when `row` is not filed.
-    pub fn rekey_row(&mut self, instance: &Instance, row: RowId) {
-        let tuple = instance.tuple(row);
-        let mut key = GroupKey::new();
-        for i in 0..self.lhs.len() {
-            let new_key = groupkey::const_key_into(&mut key, tuple, self.lhs[i]);
-            let record = self.filed[i]
-                .get(&row)
-                .unwrap_or_else(|| panic!("rekey_row: row {row} not filed"));
-            let same = match (record, new_key) {
-                (Some(old), true) => old.as_slice() == key.as_slice(),
-                (None, false) => true,
-                _ => false,
-            };
-            if same {
-                continue;
-            }
-            self.unfile(i, row);
-            let record = if new_key {
-                Self::file(&mut self.groups[i], &key, row);
-                Some(key.clone())
-            } else {
-                self.wild[i].push(row);
-                None
-            };
-            self.filed[i].insert(row, record);
-        }
-    }
-
-    /// Removes `row` from the bucket (or wild list) it is filed under
-    /// for FD `i`, dropping its filing record.
-    fn unfile(&mut self, i: usize, row: RowId) {
-        let record = self.filed[i]
-            .remove(&row)
-            .unwrap_or_else(|| panic!("unfile: row {row} not filed"));
-        match record {
-            Some(old_key) => {
-                let bucket = self.groups[i].get_mut(&old_key).expect("filed bucket");
-                let pos = bucket.iter().position(|&r| r == row).expect("filed row");
-                bucket.swap_remove(pos);
-                if bucket.is_empty() {
-                    self.groups[i].remove(&old_key);
-                }
-            }
-            None => {
-                let pos = self.wild[i]
-                    .iter()
-                    .position(|&r| r == row)
-                    .expect("wild row");
-                self.wild[i].swap_remove(pos);
-            }
-        }
-    }
-
-    /// Applies the old → new id pairs returned by
-    /// [`Instance::compact`]: every stored occurrence of a moved id is
-    /// rewritten in place — `O(moved · |F|)` plus filing-record
-    /// re-hashes, no key recomputation, no rebuild.
-    pub fn remap(&mut self, moved: &[(RowId, RowId)]) {
-        // Pairs must be applied in the order compact() reports them
-        // (ascending old slot): chains like (2→1),(3→2) re-use a just-
-        // vacated id, so processing out of order would rewrite the
-        // wrong row.
-        for i in 0..self.lhs.len() {
-            for &(old, new) in moved {
-                let Some(record) = self.filed[i].remove(&old) else {
-                    continue; // id not filed (never inserted here)
-                };
-                match &record {
-                    Some(key) => {
-                        let bucket = self.groups[i]
-                            .get_mut(key.as_slice())
-                            .expect("filed bucket");
-                        let pos = bucket.iter().position(|&r| r == old).expect("filed row");
-                        bucket[pos] = new;
-                    }
-                    None => {
-                        let pos = self.wild[i]
-                            .iter()
-                            .position(|&r| r == old)
-                            .expect("wild row");
-                        self.wild[i][pos] = new;
-                    }
-                }
-                self.filed[i].insert(new, record);
-            }
-        }
-    }
-
-    /// The candidate rows a new tuple must be checked against for FD
-    /// `fd_index` under the strong convention: the exact group (when the
-    /// tuple's determinant is total) plus the wild list; a wild tuple
-    /// must check against every live row of `instance`. The group lookup
-    /// is borrowed — no key allocation on the probe path. (The probe
-    /// tuple's own row, if it is already live but not yet filed, is the
-    /// caller's to exclude.)
-    pub fn candidates(&self, fd_index: usize, tuple: &Tuple, instance: &Instance) -> Vec<RowId> {
-        let mut key = GroupKey::new();
-        if groupkey::const_key_into(&mut key, tuple, self.lhs[fd_index]) {
-            let mut out: Vec<RowId> = self.groups[fd_index]
-                .get(key.as_slice())
-                .cloned()
-                .unwrap_or_default();
-            out.extend(self.wild[fd_index].iter().copied());
-            out
-        } else {
-            instance.row_ids().collect()
-        }
-    }
-
-    /// Number of indexed groups for FD `fd_index`.
-    pub fn group_count(&self, fd_index: usize) -> usize {
-        self.groups[fd_index].len()
-    }
-
-    /// Order-insensitive bucket equality: same determinants, same
-    /// key → row-set mapping, same wild sets. This is the equivalence
-    /// the property suite uses to prove a delta-maintained index
-    /// identical to a fresh [`build`](LhsIndex::build).
-    pub fn same_buckets(&self, other: &LhsIndex) -> bool {
-        /// Sorted bucket lists, one per FD.
-        type CanonGroups = Vec<Vec<(GroupKey, Vec<RowId>)>>;
-        fn canon(ix: &LhsIndex) -> (CanonGroups, Vec<Vec<RowId>>) {
-            let groups = ix
-                .groups
-                .iter()
-                .map(|m| {
-                    let mut v: Vec<(GroupKey, Vec<RowId>)> = m
-                        .iter()
-                        .map(|(k, rows)| {
-                            let mut rows = rows.clone();
-                            rows.sort_unstable();
-                            (k.clone(), rows)
-                        })
-                        .collect();
-                    v.sort();
-                    v
-                })
-                .collect();
-            let wild = ix
-                .wild
-                .iter()
-                .map(|w| {
-                    let mut w = w.clone();
-                    w.sort_unstable();
-                    w
-                })
-                .collect();
-            (groups, wild)
-        }
-        self.lhs == other.lhs && self.rows == other.rows && canon(self) == canon(other)
-    }
-}
-
 /// A relation instance maintained under a dependency set.
 #[derive(Debug, Clone)]
 pub struct Database {
     instance: Instance,
     fds: FdSet,
     policy: Policy,
-    index: LhsIndex,
+    index: ChaseIndex,
     /// Metrics sink (defaults to noop; see [`Database::set_recorder`]).
     /// Clones share the same sink, matching the epoch-snapshot model:
     /// a published clone keeps reporting into the node's recorder.
@@ -590,14 +245,16 @@ impl Database {
     /// Wraps an existing instance. Fails (per policy) if the starting
     /// instance already violates the enforced notion.
     ///
-    /// The cold index build is the one `O(n·|F|)` moment of a
-    /// database's life, so it runs sharded on the ambient executor
-    /// ([`fdi_exec::Executor::from_env`] — `FDI_THREADS` or the
-    /// available parallelism); every later mutation is an incremental
-    /// delta. The built index is identical at every thread count.
+    /// The cold index build and, with [`Policy::propagate`], the cold
+    /// chase are the `O(n·|F|)` moments of a database's life, so both
+    /// run on the ambient executor ([`fdi_exec::Executor::from_env`] —
+    /// `FDI_THREADS` or the available parallelism); every later
+    /// mutation is a delta. Index and chased state are identical at
+    /// every thread count.
     pub fn new(instance: Instance, fds: FdSet, policy: Policy) -> Result<Database, UpdateError> {
         check_instance(&instance, &fds, policy.enforcement)?;
-        let index = LhsIndex::build_par(&instance, &fds, &fdi_exec::Executor::from_env());
+        let exec = fdi_exec::Executor::from_env();
+        let index = ChaseIndex::build_par(&instance, &fds, &exec);
         let mut db = Database {
             instance,
             fds,
@@ -606,7 +263,8 @@ impl Database {
             rec: fdi_obs::Recorder::noop(),
         };
         if policy.propagate {
-            db.propagate_all();
+            db.index
+                .settle_all(&mut db.instance, &exec, &fdi_obs::Recorder::noop());
         }
         Ok(db)
     }
@@ -618,11 +276,11 @@ impl Database {
     /// taken from a database that had both already applied, so
     /// re-deciding either here would at best waste a chase and at worst
     /// *mutate* the restored state before replay begins. Only the
-    /// determinant index is (re)built — it is derived data, and
-    /// [`LhsIndex::build_par`] produces the identical index at every
+    /// index is (re)built — it is derived data, and
+    /// [`ChaseIndex::build_par`] produces the identical index at every
     /// thread count.
     pub fn resume(instance: Instance, fds: FdSet, policy: Policy) -> Database {
-        let index = LhsIndex::build_par(&instance, &fds, &fdi_exec::Executor::from_env());
+        let index = ChaseIndex::build_par(&instance, &fds, &fdi_exec::Executor::from_env());
         Database {
             instance,
             fds,
@@ -647,8 +305,8 @@ impl Database {
         self.policy
     }
 
-    /// The determinant index (for inspection/benchmarks).
-    pub fn index(&self) -> &LhsIndex {
+    /// The chase index (for inspection/benchmarks).
+    pub fn index(&self) -> &ChaseIndex {
         &self.index
     }
 
@@ -674,38 +332,51 @@ impl Database {
         });
     }
 
-    /// Internal acquisition: runs the indexed worklist chase, swaps the
-    /// chased instance in, and delta-rekeys exactly the rows the chase
-    /// changed. Only substitutions (null → constant) can re-bucket a
-    /// row: NEC merges leave cell values untouched, and the index files
-    /// every null-bearing determinant wild regardless of class — so a
-    /// cell-level diff is a complete change record.
-    fn propagate_all(&mut self) -> (Vec<chase::NsEvent>, Vec<RowId>) {
-        let chase::NsChaseResult {
-            instance: chased,
-            events,
-            ..
-        } = chase::chase_plain(&self.instance, &self.fds);
-        let mut changed: Vec<RowId> = Vec::new();
-        if !events.is_empty() {
-            let all = self.instance.schema().all_attrs();
-            changed = self
-                .instance
-                .row_ids()
-                .filter(|&row| {
-                    let before = self.instance.tuple(row);
-                    let after = chased.tuple(row);
-                    all.iter().any(|a| before.get(a) != after.get(a))
-                })
-                .collect();
-            self.instance = chased;
-            for &row in &changed {
-                self.index.rekey_row(&self.instance, row);
-            }
-            self.rec
-                .add(fdi_obs::Counter::IndexRowsRekeyed, changed.len() as u64);
+    /// Opens the undo trail of a change that the policy may still
+    /// reject after its cells are written (every enforcement but
+    /// [`Enforcement::None`]).
+    fn begin_rejectable(&mut self) {
+        if self.policy.enforcement != Enforcement::None {
+            self.index.begin_undo(&self.instance);
         }
-        (events, changed)
+    }
+
+    /// Does the delta run decide acceptance? (Weak enforcement over a
+    /// propagated, hence fixpoint, instance.)
+    fn guarded(&self) -> bool {
+        self.policy.enforcement == Enforcement::Weak && self.policy.propagate
+    }
+
+    /// Finishes a mutation whose cells (rows `touched`) are written and
+    /// re-filed (under an undo trail wherever a rejection can still
+    /// follow): runs internal acquisition from
+    /// the touched buckets and, when [`Database::guarded`], decides
+    /// acceptance by Theorem 4 — on a weakly satisfiable fixpoint the
+    /// extended chase derives `nothing` exactly when a `nothing` was
+    /// written or the delta run leaves two distinct constants in a
+    /// dependent column. A rejection rolls the trail back (an inserted
+    /// row is the caller's to remove); an acceptance returns the events
+    /// and the rows the chase substituted into.
+    fn settle(
+        &mut self,
+        touched: &[RowId],
+        wrote_nothing: bool,
+    ) -> Result<(Vec<chase::NsEvent>, Vec<RowId>), UpdateError> {
+        let guarded = self.guarded();
+        let settled = (self.policy.propagate && !(guarded && wrote_nothing))
+            .then(|| self.index.settle(&mut self.instance, touched, guarded));
+        if guarded && settled.as_ref().is_none_or(|s| s.conflict) {
+            self.index.rollback(&mut self.instance);
+            return Err(UpdateError::Rejected {
+                violation: None,
+                enforcement: Enforcement::Weak,
+            });
+        }
+        self.index.commit_undo();
+        let (events, changed) = settled.map_or_else(Default::default, |s| (s.events, s.changed));
+        self.rec
+            .add(fdi_obs::Counter::IndexRowsRekeyed, changed.len() as u64);
+        Ok((events, changed))
     }
 
     /// Merges delta row lists into the ascending, deduplicated
@@ -720,7 +391,7 @@ impl Database {
     /// Incremental strong check of the tuple at `row` (the candidate
     /// insert, already parsed into the instance but not yet indexed)
     /// against the preexisting rows, via the index. Returns the first
-    /// violation.
+    /// violation (per FD, the least candidate row).
     fn incremental_strong_check(&self, tuple: &Tuple, row: RowId) -> Option<Violation> {
         for (i, fd) in self.fds.iter().enumerate() {
             let fd = fd.normalized();
@@ -772,25 +443,30 @@ impl Database {
                         enforcement: Enforcement::Strong,
                     })
             }
-            Enforcement::Weak => (!chase::weakly_satisfiable_via_chase(&self.fds, &self.instance))
-                .then_some(UpdateError::Rejected {
-                    violation: None,
-                    enforcement: Enforcement::Weak,
-                }),
-            Enforcement::None => None,
+            Enforcement::Weak if !self.policy.propagate => {
+                check_instance(&self.instance, &self.fds, Enforcement::Weak).err()
+            }
+            _ => None,
         };
         if let Some(err) = rejection {
             self.instance.remove_row(row);
             return Err(err);
         }
+        // Past this point only the delta run can still reject.
+        if self.guarded() {
+            self.index.begin_undo(&self.instance);
+        }
         self.index.insert_row(&self.instance, row);
-        self.rec.incr(fdi_obs::Counter::IndexRowsInserted);
+        let wrote_nothing = self.instance.tuple(row).values().contains(&Value::Nothing);
         let merges_before = self.instance.necs().merge_count();
-        let (propagated, chase_changed) = if self.policy.propagate {
-            self.propagate_all()
-        } else {
-            (Vec::new(), Vec::new())
+        let (propagated, chase_changed) = match self.settle(&[row], wrote_nothing) {
+            Ok(settled) => settled,
+            Err(e) => {
+                self.instance.remove_row(row);
+                return Err(e);
+            }
         };
+        self.rec.incr(fdi_obs::Counter::IndexRowsInserted);
         Ok(UpdateOutcome {
             row,
             propagated,
@@ -805,10 +481,10 @@ impl Database {
     /// rejections, same [`RowId`]s, same index state, at every thread
     /// count. Under [`Enforcement::None`] with propagation off (the
     /// bulk-load / ingest regime, where a per-row insert neither checks
-    /// nor chases) the accepted rows are filed through the sharded
-    /// [`LhsIndex::insert_rows_par`] path; any checking or propagating
-    /// policy falls back to the per-row loop, because each acceptance
-    /// decision there depends on the rows accepted before it.
+    /// nor chases) the accepted rows are filed with their keys computed
+    /// on the executor; any checking or propagating policy falls back
+    /// to the per-row loop, because each acceptance decision there
+    /// depends on the rows accepted before it.
     pub fn insert_batch(
         &mut self,
         rows: &[Vec<String>],
@@ -851,10 +527,11 @@ impl Database {
     }
 
     /// Deletes a row. Deletion can never break satisfiability (both
-    /// notions are anti-monotone in the tuple set), so it always
-    /// succeeds. The instance tombstones the slot and the index unfiles
-    /// one row — `O(|F| · bucket)` total, with **no survivor
-    /// renumbering anywhere** (every other [`RowId`] stays valid).
+    /// notions are anti-monotone in the tuple set) nor make a rule
+    /// applicable, so it always succeeds and never chases. The index
+    /// unfiles one row and the instance tombstones the slot —
+    /// `O(|F| · bucket)` total, with **no survivor renumbering
+    /// anywhere** (every other [`RowId`] stays valid).
     pub fn delete(&mut self, row: RowId) -> Result<UpdateOutcome, UpdateError> {
         let result = self.delete_inner(row);
         self.record_op(&result);
@@ -865,8 +542,8 @@ impl Database {
         if !self.instance.is_live(row) {
             return Err(UpdateError::NoSuchRow(row));
         }
+        self.index.remove_row(&self.instance, row);
         self.instance.remove_row(row);
-        self.index.remove_row(row);
         self.rec.incr(fdi_obs::Counter::IndexRowsRemoved);
         Ok(UpdateOutcome {
             row,
@@ -877,22 +554,22 @@ impl Database {
     }
 
     /// Densifies the slot arena after heavy churn: compacts the
-    /// instance ([`Instance::compact`]) and remaps the index
-    /// ([`LhsIndex::remap`]) in `O(moved)`. Returns the old → new id
-    /// pairs of every row that moved — previously held [`RowId`]s for
-    /// those rows are invalidated.
+    /// instance ([`Instance::compact`]) and remaps the index in
+    /// `O(moved)`. Returns the old → new id pairs of every row that
+    /// moved — previously held [`RowId`]s for those rows are
+    /// invalidated.
     pub fn compact(&mut self) -> Vec<(RowId, RowId)> {
         let moved = self.instance.compact();
-        self.index.remap(&moved);
+        self.index.remap(&self.instance, &moved);
         self.rec.incr(fdi_obs::Counter::OpsApplied);
         self.rec
             .add(fdi_obs::Counter::IndexRowsRemapped, moved.len() as u64);
         moved
     }
 
-    /// Replaces the value of one cell (checked like an insert). On
-    /// rejection the cell is restored; on acceptance the row is re-keyed
-    /// in place — one delta, no rebuild.
+    /// Replaces the value of one cell (checked like an insert). The row
+    /// is re-keyed in place — one delta, no rebuild — and a rejection
+    /// rolls cell and index back.
     pub fn modify(
         &mut self,
         row: RowId,
@@ -914,20 +591,17 @@ impl Database {
             return Err(UpdateError::NoSuchRow(row));
         }
         let value = parse_token(&mut self.instance, attr, token)?;
-        let old = self.instance.value(row, attr);
-        self.instance.set_value(row, attr, value);
-        if let Err(e) = check_instance(&self.instance, &self.fds, self.policy.enforcement) {
-            self.instance.set_value(row, attr, old);
-            return Err(e);
+        self.index.begin_undo(&self.instance);
+        self.index.write_cell(&mut self.instance, row, attr, value);
+        if !self.guarded() {
+            if let Err(e) = check_instance(&self.instance, &self.fds, self.policy.enforcement) {
+                self.index.rollback(&mut self.instance);
+                return Err(e);
+            }
         }
-        self.index.rekey_row(&self.instance, row);
-        self.rec.incr(fdi_obs::Counter::IndexRowsRekeyed);
         let merges_before = self.instance.necs().merge_count();
-        let (propagated, chase_changed) = if self.policy.propagate {
-            self.propagate_all()
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let (propagated, chase_changed) = self.settle(&[row], value == Value::Nothing)?;
+        self.rec.incr(fdi_obs::Counter::IndexRowsRekeyed);
         Ok(UpdateOutcome {
             row,
             propagated,
@@ -940,9 +614,9 @@ impl Database {
     /// null. Every occurrence of the null's NEC class receives the
     /// value, and the result is checked under the policy — "the only
     /// value a user can insert without the creation of an inconsistency"
-    /// (§4) is exactly a value this method accepts. On rejection every
-    /// substituted cell is restored; on acceptance only the rows that
-    /// held an occurrence are re-keyed.
+    /// (§4) is exactly a value this method accepts. The class's
+    /// occurrence list names the cells, so the substitution costs the
+    /// class, not the instance; a rejection restores every one of them.
     pub fn resolve_null(
         &mut self,
         row: RowId,
@@ -975,40 +649,26 @@ impl Database {
                 }))
             }
         };
-        // Substitute the whole class, remembering each change for the
-        // rollback and the per-row re-key.
-        let all = self.instance.schema().all_attrs();
-        let rows: Vec<RowId> = self.instance.row_ids().collect();
-        let mut changed: Vec<(RowId, AttrId, Value)> = Vec::new();
-        for r in rows {
-            for a in all.iter() {
-                if let Value::Null(n) = self.instance.value(r, a) {
-                    if self.instance.necs().same_class(n, id) {
-                        changed.push((r, a, Value::Null(n)));
-                        self.instance.set_value(r, a, Value::Const(symbol));
-                    }
-                }
+        self.begin_rejectable();
+        let root = self.instance.necs().find_readonly(id);
+        let mut touched: Vec<RowId> = self
+            .index
+            .substitute_class(&mut self.instance, root, symbol, None)
+            .into_iter()
+            .map(|(r, _)| r)
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        if !self.guarded() {
+            if let Err(e) = check_instance(&self.instance, &self.fds, self.policy.enforcement) {
+                self.index.rollback(&mut self.instance);
+                return Err(e);
             }
         }
-        if let Err(e) = check_instance(&self.instance, &self.fds, self.policy.enforcement) {
-            for &(r, a, old) in &changed {
-                self.instance.set_value(r, a, old);
-            }
-            return Err(e);
-        }
-        let mut touched: Vec<RowId> = changed.iter().map(|&(r, _, _)| r).collect();
-        touched.dedup(); // changes were recorded in ascending row order
-        for &r in &touched {
-            self.index.rekey_row(&self.instance, r);
-        }
+        let merges_before = self.instance.necs().merge_count();
+        let (propagated, chase_changed) = self.settle(&touched, false)?;
         self.rec
             .add(fdi_obs::Counter::IndexRowsRekeyed, touched.len() as u64);
-        let merges_before = self.instance.necs().merge_count();
-        let (propagated, chase_changed) = if self.policy.propagate {
-            self.propagate_all()
-        } else {
-            (Vec::new(), Vec::new())
-        };
         Ok(UpdateOutcome {
             row,
             propagated,
@@ -1135,7 +795,7 @@ mod tests {
     fn assert_index_fresh(db: &Database) {
         assert!(
             db.index()
-                .same_buckets(&LhsIndex::build(db.instance(), db.fds())),
+                .same_buckets(&ChaseIndex::build(db.instance(), db.fds())),
             "delta-maintained index diverged from a fresh build"
         );
     }
@@ -1365,7 +1025,7 @@ mod tests {
         for i in 0..16 {
             r.add_row(&[&format!("A_{i}"), "B_0"]).unwrap();
         }
-        let index = LhsIndex::build(&r, &fds);
+        let index = ChaseIndex::build(&r, &fds);
         assert_eq!(index.group_count(0), 16);
         let probe = r.tuple(r.nth_row(0)).clone();
         let candidates = index.candidates(0, &probe, &r);

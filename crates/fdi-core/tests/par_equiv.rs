@@ -18,7 +18,7 @@ use fdi_core::chase::{
 use fdi_core::groupkey;
 use fdi_core::query::{self, Query};
 use fdi_core::testfd::{self, Convention};
-use fdi_core::update::LhsIndex;
+use fdi_core::update::ChaseIndex;
 use fdi_exec::Executor;
 use fdi_gen::{plant_violation, scaling_query, workload, Workload, WorkloadSpec};
 use fdi_relation::attrs::AttrId;
@@ -321,15 +321,15 @@ proptest! {
         }
     }
 
-    /// `LhsIndex::build_par` builds the same index as `build` (bucket
+    /// `ChaseIndex::build_par` builds the same index as `build` (bucket
     /// maps, wild lists, filing records) at every thread count — and
     /// stays delta-consistent: removing a row from the parallel build
     /// equals a sequential build without it.
     #[test]
     fn parallel_index_build_matches_sequential(w in arb_adversarial()) {
-        let sequential = LhsIndex::build(&w.instance, &w.fds);
+        let sequential = ChaseIndex::build(&w.instance, &w.fds);
         for threads in THREADS {
-            let parallel = LhsIndex::build_par(&w.instance, &w.fds, &Executor::with_threads(threads));
+            let parallel = ChaseIndex::build_par(&w.instance, &w.fds, &Executor::with_threads(threads));
             prop_assert!(
                 sequential.same_buckets(&parallel),
                 "build_par diverges at {} threads on\n{}",
@@ -342,9 +342,9 @@ proptest! {
             let mut chopped = w.instance.clone();
             let victim = chopped.nth_row(0);
             chopped.remove_row(victim);
-            let mut parallel = LhsIndex::build_par(&w.instance, &w.fds, &Executor::with_threads(4));
-            parallel.remove_row(victim);
-            let rebuilt = LhsIndex::build(&chopped, &w.fds);
+            let mut parallel = ChaseIndex::build_par(&w.instance, &w.fds, &Executor::with_threads(4));
+            parallel.remove_row(&w.instance, victim);
+            let rebuilt = ChaseIndex::build(&chopped, &w.fds);
             prop_assert!(parallel.same_buckets(&rebuilt), "delta after parallel build");
         }
     }
@@ -536,9 +536,9 @@ fn parallel_index_build_matches_sequential_beyond_the_cutoff() {
     };
     let w = workload(41, &spec, 4);
     assert!(w.instance.len() >= PAR_BUILD_SMALL_N);
-    let sequential = LhsIndex::build(&w.instance, &w.fds);
+    let sequential = ChaseIndex::build(&w.instance, &w.fds);
     for threads in [2, 4, 8] {
-        let parallel = LhsIndex::build_par(&w.instance, &w.fds, &Executor::with_threads(threads));
+        let parallel = ChaseIndex::build_par(&w.instance, &w.fds, &Executor::with_threads(threads));
         assert!(
             sequential.same_buckets(&parallel),
             "sharded build diverges at {threads} threads"
@@ -633,7 +633,7 @@ fn batch_ingest_is_bit_identical_to_looped_inserts() {
 
 /// Batches below [`fdi_core::update::PAR_BUILD_SMALL_N`] take the
 /// sequential filing loop, so the test above proves the API contract
-/// there; this drives the genuinely sharded `LhsIndex::insert_rows_par`
+/// there; this drives the genuinely sharded `ChaseIndex::insert_rows_par`
 /// delta filing on a batch beyond the cutoff.
 #[test]
 fn batch_ingest_matches_looped_inserts_beyond_the_cutoff() {

@@ -1,8 +1,8 @@
 //! Update-sequence properties for the incremental index maintenance:
 //! after *every* operation of an arbitrary interleaved
 //! insert/delete/modify stream — accepted or rejected, with or without
-//! NS-rule propagation — the delta-maintained `LhsIndex` must be
-//! bucket-identical to a fresh `LhsIndex::build` of the live instance.
+//! NS-rule propagation — the delta-maintained `ChaseIndex` must be
+//! bucket-identical to a fresh `ChaseIndex::build` of the live instance.
 //!
 //! Rows are stable `RowId` slots: deletes tombstone and never renumber
 //! survivors, so the stream tracker (`fdi_gen::LiveRows`) resolves each
@@ -15,7 +15,7 @@
 //! generators (weakly/classically satisfiable where the policy demands
 //! a valid starting point).
 
-use fdi_core::update::{Database, Enforcement, LhsIndex, Policy};
+use fdi_core::update::{ChaseIndex, Database, Enforcement, Policy};
 use fdi_gen::{
     apply_op, satisfiable_workload, update_stream, workload, LiveRows, UpdateMix, UpdateOp,
     WorkloadSpec,
@@ -49,7 +49,7 @@ fn spec(rows: usize, null_density: f64) -> WorkloadSpec {
 fn assert_index_fresh(db: &Database) {
     assert!(
         db.index()
-            .same_buckets(&LhsIndex::build(db.instance(), db.fds())),
+            .same_buckets(&ChaseIndex::build(db.instance(), db.fds())),
         "delta-maintained index diverged from a fresh build on\n{}",
         db.instance().render(true)
     );
@@ -142,7 +142,7 @@ proptest! {
     /// against two twin rebuilds after every operation:
     ///
     /// * a **mirror** twin fed the identical op sequence must stay
-    ///   bit-identical — same marked render, same `LhsIndex` buckets,
+    ///   bit-identical — same marked render, same `ChaseIndex` buckets,
     ///   same `NecStore` representation (the determinism the op
     ///   journal's crash recovery relies on);
     /// * an **accepted-only** twin — what recovery actually replays —
@@ -227,7 +227,7 @@ proptest! {
 
     /// `compact()` remap correctness: after an arbitrary op stream,
     /// densifying the arena and *remapping* the delta-maintained index
-    /// yields buckets identical to a from-scratch `LhsIndex::build` of
+    /// yields buckets identical to a from-scratch `ChaseIndex::build` of
     /// the compacted instance — and the instance content is unchanged.
     #[test]
     fn compact_remap_equals_fresh_rebuild(

@@ -601,6 +601,97 @@ pub fn apply_op(db: &mut fdi_core::update::Database, live: &mut LiveRows, op: &U
     }
 }
 
+/// One step of a [`delta_stress_stream`]: a single-row update, or a
+/// compaction of the slot arena (`Database::compact`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StressOp {
+    /// A single-row update.
+    Update(UpdateOp),
+    /// Densify the slot arena, renumbering the rows after a tombstone.
+    Compact,
+}
+
+/// An update stream aimed at the hard cases of incremental NS-rule
+/// propagation, for differential tests against a whole-instance chase:
+///
+/// * nulls are half fresh (`-`) and half **shared marks** `?m0`–`?m2`,
+///   reused across rows *and columns*, so NEC classes span columns and
+///   one resolve or substitution rewrites several rows;
+/// * about 3% of cells are `nothing` (`#!`);
+/// * a third of the inserts are **planted conflicts**: the previous
+///   insert with one cell re-drawn, so rows agreeing on most
+///   determinants disagree on a dependent;
+/// * resolves (blind, like [`update_stream`]'s) and compactions are
+///   interleaved with inserts, deletes and modifies.
+///
+/// Positional references follow [`update_stream`]'s live-count
+/// tracking (in range when every insert lands; [`apply_op`]-style
+/// drivers treat out-of-range positions as clean misses).
+pub fn delta_stress_stream(
+    seed: u64,
+    spec: &WorkloadSpec,
+    start_rows: usize,
+    count: usize,
+) -> Vec<StressOp> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let names = attr_names(spec.attrs);
+    let token = |rng: &mut StdRng, col: usize| {
+        if rng.gen_bool(0.03) {
+            "#!".to_string()
+        } else if rng.gen_bool(spec.null_density) {
+            if rng.gen_bool(0.5) {
+                "-".to_string()
+            } else {
+                format!("?m{}", rng.gen_range(0..3))
+            }
+        } else {
+            format!("{}_{}", names[col], rng.gen_range(0..spec.domain))
+        }
+    };
+    let mut live = start_rows;
+    let mut last_insert: Option<Vec<String>> = None;
+    let mut ops = Vec::with_capacity(count);
+    for _ in 0..count {
+        let pick = rng.gen_range(0..10);
+        let op = if pick < 4 || live == 0 {
+            live += 1;
+            let tokens = match &last_insert {
+                Some(prev) if rng.gen_bool(1.0 / 3.0) => {
+                    let mut tokens = prev.clone();
+                    let col = rng.gen_range(0..spec.attrs);
+                    tokens[col] = format!("{}_{}", names[col], rng.gen_range(0..spec.domain));
+                    tokens
+                }
+                _ => (0..spec.attrs).map(|col| token(&mut rng, col)).collect(),
+            };
+            last_insert = Some(tokens.clone());
+            StressOp::Update(UpdateOp::Insert(tokens))
+        } else if pick < 5 {
+            let row = rng.gen_range(0..live);
+            live -= 1;
+            StressOp::Update(UpdateOp::Delete(row))
+        } else if pick < 7 {
+            let col = rng.gen_range(0..spec.attrs);
+            StressOp::Update(UpdateOp::Modify {
+                row: rng.gen_range(0..live),
+                attr: AttrId(col as u16),
+                token: token(&mut rng, col),
+            })
+        } else if pick < 9 {
+            let col = rng.gen_range(0..spec.attrs);
+            StressOp::Update(UpdateOp::ResolveNull {
+                row: rng.gen_range(0..live),
+                attr: AttrId(col as u16),
+                token: format!("{}_{}", names[col], rng.gen_range(0..spec.domain)),
+            })
+        } else {
+            StressOp::Compact
+        };
+        ops.push(op);
+    }
+    ops
+}
+
 /// Plants a definite violation of the first FD: two rows equal on its
 /// left side with distinct constants on its right side.
 pub fn plant_violation(rng: &mut StdRng, instance: &mut Instance, fds: &FdSet) {

@@ -91,13 +91,13 @@ pub enum Counter {
     /// the parallel pairwise fallback early-exits per chunk, and chunk
     /// boundaries depend on the thread count).
     TestfdRowsScanned,
-    /// `LhsIndex` rows inserted incrementally (deterministic).
+    /// Chase-index rows filed incrementally (deterministic).
     IndexRowsInserted,
-    /// `LhsIndex` rows removed incrementally (deterministic).
+    /// Chase-index rows unfiled incrementally (deterministic).
     IndexRowsRemoved,
-    /// `LhsIndex` rows rekeyed after value changes (deterministic).
+    /// Chase-index rows rekeyed after value changes (deterministic).
     IndexRowsRekeyed,
-    /// `LhsIndex` rows remapped by `compact` (deterministic).
+    /// Chase-index rows remapped by `compact` (deterministic).
     IndexRowsRemapped,
     /// Database mutations accepted and applied (deterministic).
     OpsApplied,
@@ -336,16 +336,20 @@ pub enum Hist {
     PublishBatchOps,
     /// Reader snapshot-acquisition latency, nanoseconds.
     SnapshotAcquireNanos,
+    /// Epoch construction after the publish timer stops (database
+    /// clone, NEC snapshot, state fingerprint), nanoseconds.
+    EpochBuildNanos,
 }
 
 impl Hist {
     /// Every histogram, in stable registry (exposition) order.
-    pub const ALL: [Hist; 5] = [
+    pub const ALL: [Hist; 6] = [
         Hist::JournalSyncNanos,
         Hist::JournalBatchOps,
         Hist::PublishNanos,
         Hist::PublishBatchOps,
         Hist::SnapshotAcquireNanos,
+        Hist::EpochBuildNanos,
     ];
 
     /// Exposition name (without the `fdi_` prefix).
@@ -356,6 +360,7 @@ impl Hist {
             Hist::PublishNanos => "publish_nanos",
             Hist::PublishBatchOps => "publish_batch_ops",
             Hist::SnapshotAcquireNanos => "snapshot_acquire_nanos",
+            Hist::EpochBuildNanos => "epoch_build_nanos",
         }
     }
 }

@@ -67,7 +67,7 @@ pub use completion::CompletionSpace;
 pub use domain::Domain;
 pub use error::RelationError;
 pub use instance::{CanonValue, CanonicalInstance, Instance};
-pub use nec::{NecSnapshot, NecStore};
+pub use nec::{NecSnapshot, NecStore, NecUndo};
 pub use rowid::{RowId, RowIdShard};
 pub use schema::{AttrDef, DomainSpec, Schema, SchemaBuilder};
 pub use serial::DecodeError;

@@ -28,6 +28,22 @@ pub struct NecStore {
     merges: usize,
 }
 
+/// Undo log of logged [`NecStore`] mutations (see
+/// [`NecStore::undo_point`]): the prior value of every overwritten
+/// parent/rank entry plus the size and merge count to return to.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NecUndo {
+    len: usize,
+    merges: usize,
+    writes: Vec<(u32, u32, u8)>,
+}
+
+impl NecUndo {
+    fn record(&mut self, id: u32, parent: u32, rank: u8) {
+        self.writes.push((id, parent, rank));
+    }
+}
+
 impl NecStore {
     /// An empty store.
     pub fn new() -> NecStore {
@@ -44,6 +60,17 @@ impl NecStore {
 
     /// Representative of `id`'s class, with path compression.
     pub fn find(&mut self, id: NullId) -> NullId {
+        self.find_in(id, None)
+    }
+
+    /// [`NecStore::find`] recording every pointer it rewrites into
+    /// `undo`, so [`NecStore::undo`] can restore the exact
+    /// representation.
+    pub fn find_logged(&mut self, id: NullId, undo: &mut NecUndo) -> NullId {
+        self.find_in(id, Some(undo))
+    }
+
+    fn find_in(&mut self, id: NullId, mut undo: Option<&mut NecUndo>) -> NullId {
         self.ensure(id);
         let mut root = id.0;
         while self.parent[root as usize] != root {
@@ -53,6 +80,9 @@ impl NecStore {
         let mut cur = id.0;
         while self.parent[cur as usize] != root {
             let next = self.parent[cur as usize];
+            if let Some(undo) = undo.as_deref_mut() {
+                undo.record(cur, next, self.rank[cur as usize]);
+            }
             self.parent[cur as usize] = root;
             cur = next;
         }
@@ -72,8 +102,17 @@ impl NecStore {
     /// Introduces the NEC `a := b`. Returns `true` when the two classes
     /// were distinct (knowledge increased).
     pub fn union(&mut self, a: NullId, b: NullId) -> bool {
-        let ra = self.find(a);
-        let rb = self.find(b);
+        self.union_in(a, b, None)
+    }
+
+    /// [`NecStore::union`] recording its writes into `undo`.
+    pub fn union_logged(&mut self, a: NullId, b: NullId, undo: &mut NecUndo) -> bool {
+        self.union_in(a, b, Some(undo))
+    }
+
+    fn union_in(&mut self, a: NullId, b: NullId, mut undo: Option<&mut NecUndo>) -> bool {
+        let ra = self.find_in(a, undo.as_deref_mut());
+        let rb = self.find_in(b, undo.as_deref_mut());
         if ra == rb {
             return false;
         }
@@ -82,12 +121,40 @@ impl NecStore {
         } else {
             (rb, ra)
         };
+        if let Some(undo) = undo {
+            undo.record(lo.0, self.parent[lo.index()], self.rank[lo.index()]);
+            undo.record(hi.0, self.parent[hi.index()], self.rank[hi.index()]);
+        }
         self.parent[lo.index()] = hi.0;
         if self.rank[hi.index()] == self.rank[lo.index()] {
             self.rank[hi.index()] += 1;
         }
         self.merges += 1;
         true
+    }
+
+    /// An empty undo log positioned at the current state: pass it to
+    /// the `_logged` operations, then to [`NecStore::undo`] to return
+    /// to exactly this representation.
+    pub fn undo_point(&self) -> NecUndo {
+        NecUndo {
+            len: self.parent.len(),
+            merges: self.merges,
+            writes: Vec::new(),
+        }
+    }
+
+    /// Reverts every logged write since `undo` was taken — parent
+    /// pointers, ranks, the merge count and the tracked-id range — so
+    /// the store equals its state at [`NecStore::undo_point`].
+    pub fn undo(&mut self, undo: NecUndo) {
+        for &(id, parent, rank) in undo.writes.iter().rev() {
+            self.parent[id as usize] = parent;
+            self.rank[id as usize] = rank;
+        }
+        self.parent.truncate(undo.len);
+        self.rank.truncate(undo.len);
+        self.merges = undo.merges;
     }
 
     /// Do `a` and `b` denote the same unknown value?
@@ -344,6 +411,21 @@ mod tests {
         assert_eq!(a.canonical_snapshot(), b.canonical_snapshot());
         b.union(n(2), n(3));
         assert_ne!(a.canonical_snapshot(), b.canonical_snapshot());
+    }
+
+    #[test]
+    fn undo_restores_the_exact_representation() {
+        let mut store = NecStore::new();
+        store.union(n(0), n(1));
+        store.union(n(2), n(3));
+        let before = store.clone();
+        let mut undo = store.undo_point();
+        store.union_logged(n(1), n(3), &mut undo);
+        store.union_logged(n(3), n(9), &mut undo);
+        store.find_logged(n(0), &mut undo);
+        assert_ne!(store, before);
+        store.undo(undo);
+        assert_eq!(store, before, "parents, ranks, size and merge count");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! An [`Epoch`] is an immutable, `Arc`-shared snapshot of the serving
 //! state: the chased [`Instance`](fdi_relation::Instance), its
-//! [`LhsIndex`](fdi_core::update::LhsIndex) (inside the contained
+//! [`ChaseIndex`](fdi_core::update::ChaseIndex) (inside the contained
 //! [`Database`](fdi_core::update::Database)), and the canonical
 //! [`NecSnapshot`](fdi_relation::NecSnapshot) of the null equivalence
 //! forest, stamped with a sequence number and the count of accepted ops

@@ -459,6 +459,7 @@ impl<S: Storage> Writer<S> {
         self.rec.gauge_set(Gauge::EpochSeq, self.seq);
         self.rec.gauge_set(Gauge::EpochOpsApplied, self.ops_applied);
         self.rec.event("epoch_published", self.seq);
+        let build_started = self.rec.is_enabled().then(Instant::now);
         let epoch = Arc::new(Epoch::with_materialized(
             self.seq,
             self.ops_applied,
@@ -466,6 +467,12 @@ impl<S: Storage> Writer<S> {
             materialized,
             self.rec.snapshot(),
         ));
+        // The epoch build (database clone, NEC snapshot, fingerprint)
+        // comes after the frozen snapshot, so it lands in the next one.
+        if let Some(build_started) = build_started {
+            let nanos = u64::try_from(build_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.rec.observe(Hist::EpochBuildNanos, nanos);
+        }
         self.published.push(EpochStamp {
             seq: self.seq,
             ops_applied: self.ops_applied,

@@ -13,7 +13,7 @@
 //! parameters. All schedules are explicit — a failing case prints the
 //! exact plan that reproduces it.
 
-use fdi_core::update::{Database, Enforcement, LhsIndex, Policy};
+use fdi_core::update::{ChaseIndex, Database, Enforcement, Policy};
 use fdi_gen::{satisfiable_workload, update_stream, UpdateMix, UpdateOp, Workload, WorkloadSpec};
 use fdi_store::record::{Scanned, Scanner, FILE_HEADER};
 use fdi_store::{
@@ -141,7 +141,7 @@ fn assert_same_db(recovered: &Database, oracle: &Database) {
     );
     assert!(recovered.index().same_buckets(oracle.index()));
     for threads in [1usize, 4] {
-        let fresh = LhsIndex::build_par(
+        let fresh = ChaseIndex::build_par(
             recovered.instance(),
             recovered.fds(),
             &fdi_exec::Executor::with_threads(threads),

@@ -675,6 +675,37 @@ fn stage_op_line<S: Storage, W: IoWrite>(
     Ok(())
 }
 
+/// 1-based display positions of the rows of each list, found by one
+/// merge walk over the live rows. Every list must be ascending in slot
+/// order (answer sets are); a row that is not live renders as `?`.
+fn display_positions<const N: usize>(
+    instance: &fd_incomplete::relation::Instance,
+    lists: [&[RowId]; N],
+) -> [Vec<String>; N] {
+    let mut out: [Vec<String>; N] = std::array::from_fn(|i| Vec::with_capacity(lists[i].len()));
+    let mut next = [0usize; N];
+    for (pos, row) in instance.row_ids().enumerate() {
+        for (i, list) in lists.iter().enumerate() {
+            // Rows below the walk's position are not live.
+            while next[i] < list.len() && list[next[i]] < row {
+                out[i].push("?".to_string());
+                next[i] += 1;
+            }
+            if next[i] < list.len() && list[next[i]] == row {
+                out[i].push((pos + 1).to_string());
+                next[i] += 1;
+            }
+        }
+        if (0..N).all(|i| next[i] == lists[i].len()) {
+            break;
+        }
+    }
+    for (i, list) in lists.iter().enumerate() {
+        out[i].extend(list[next[i]..].iter().map(|_| "?".to_string()));
+    }
+    out
+}
+
 fn io_err(e: std::io::Error) -> CliError {
     CliError::runtime(format!("i/o error: {e}"))
 }
@@ -777,25 +808,15 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
                         let selection = epoch
                             .select_recorded(&query, &fdi_exec::Executor::from_env(), rec)
                             .map_err(|e| CliError::runtime(e.to_string()))?;
-                        let position = |row: RowId| {
-                            epoch
-                                .db()
-                                .instance()
-                                .row_ids()
-                                .position(|id| id == row)
-                                .map_or_else(|| "?".to_string(), |p| (p + 1).to_string())
-                        };
-                        let render = |rows: &[RowId]| {
-                            rows.iter()
-                                .map(|&r| position(r))
-                                .collect::<Vec<_>>()
-                                .join(" ")
-                        };
+                        let [sure, maybe] = display_positions(
+                            epoch.db().instance(),
+                            [&selection.sure, &selection.maybe],
+                        );
                         writeln!(
                             out,
                             "sure: [{}]  maybe: [{}]  (epoch {})",
-                            render(&selection.sure),
-                            render(&selection.maybe),
+                            sure.join(" "),
+                            maybe.join(" "),
                             epoch.seq()
                         )
                         .map_err(io_err)?;
@@ -1346,6 +1367,11 @@ cyd eng   -
         // publish latency histogram has one observation
         assert_eq!(
             metric_value(&text, "fdi_publish_nanos_count{det=\"false\"}"),
+            1
+        );
+        // … and so does the epoch build after it
+        assert_eq!(
+            metric_value(&text, "fdi_epoch_build_nanos_count{det=\"false\"}"),
             1
         );
         // JSON form rides the same snapshot

@@ -16,7 +16,7 @@
 
 use fd_incomplete::core::chase;
 use fd_incomplete::core::query;
-use fd_incomplete::core::update::{Database, Enforcement, LhsIndex, Policy};
+use fd_incomplete::core::update::{ChaseIndex, Database, Enforcement, Policy};
 use fd_incomplete::gen::{
     satisfiable_workload, scaling_query, update_stream, UpdateMix, UpdateOp, WorkloadSpec,
 };
@@ -287,7 +287,7 @@ fn spawn_readers(
                             fingerprint: epoch.fingerprint(),
                         });
                         let fresh =
-                            LhsIndex::build_par(epoch.db().instance(), epoch.db().fds(), &exec);
+                            ChaseIndex::build_par(epoch.db().instance(), epoch.db().fds(), &exec);
                         assert!(
                             epoch.db().index().same_buckets(&fresh),
                             "epoch {} was observed with an index inconsistent with its instance",
